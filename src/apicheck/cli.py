@@ -7,12 +7,13 @@ Exit codes: 0 success, 1 domain error (parse failure, malformed file, ...),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import constraints, decode, metrics, retrieval, spec as apispec, topconvert
-from .expr import Grounded, ParseError, flatten, parse, serialize
+from .expr import ApiCall, Grounded, ParseError, flatten, parse, serialize
 
 DEFAULT_SEED = 17
 DEFAULT_DESCRIPTION = (
@@ -76,12 +77,7 @@ def _cmd_derive_spec(args) -> int:
     if args.out:
         apispec.save_spec(derived, args.out)
     else:
-        doc = {
-            "functions": sorted(derived.functions),
-            "arguments": sorted(derived.arguments),
-            "associations": {f: sorted(a) for f, a in sorted(derived.associations.items())},
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(apispec.dump_spec(derived))
     return 0
 
 
@@ -102,8 +98,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_eval(args) -> int:
     loaded = _load_spec(args.spec)
-    pairs: list[metrics.EvalPair] = []
-    texts: list[str] = []
+    calls: list[tuple[ApiCall, ApiCall | None]] = []
+    reports: list[constraints.ViolationReport] = []
     try:
         with open(args.pairs, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -118,19 +114,18 @@ def _cmd_eval(args) -> int:
                     if not isinstance(rec.get(key), str):
                         raise DomainError(f"{args.pairs}:{lineno}: missing field {key!r}")
                 try:
-                    parse(rec["gold"])
+                    gold = parse(rec["gold"])
                 except ParseError as e:
                     raise DomainError(f"{args.pairs}:{lineno}: gold does not parse ({e})") from e
-                pairs.append(
-                    metrics.EvalPair(rec["gold"], rec["predicted"], rec.get("utterance", ""))
-                )
-                texts.append(rec["predicted"])
+                predicted, violations = constraints.parse_and_check(rec["predicted"], loaded)
+                calls.append((gold, predicted))
+                reports.append(violations)
     except OSError as e:
         raise DomainError(str(e)) from e
-    if not pairs:
+    if not calls:
         raise DomainError(f"{args.pairs}: no evaluation pairs")
-    report = metrics.evaluate(pairs)
-    rates = constraints.violation_rates([constraints.check(t, loaded) for t in texts])
+    report = metrics.evaluate_calls(calls)
+    rates = constraints.violation_rates(reports)
     print(f"examples: {report.n}")
     print(f"exact match: {report.exact_match:.4f}")
     print(f"intent F1: {report.intent_f1:.4f}")
@@ -151,9 +146,7 @@ def _cmd_convert_top(args) -> int:
         topconvert.write_examples(converted, args.out)
     else:
         for e in converted:
-            rec = {"id": e.id, "domain": e.domain, "utterance": e.utterance,
-                   "api_call": e.api_call, "top_parse": e.top_parse}
-            print(json.dumps(rec, sort_keys=True))
+            print(topconvert.dump_example(e))
     return 0
 
 
@@ -167,8 +160,7 @@ def _cmd_sample_spis(args) -> int:
         topconvert.write_examples(sampled, args.out)
     else:
         for e in sampled:
-            print(json.dumps({"id": e.id, "domain": e.domain, "utterance": e.utterance,
-                              "api_call": e.api_call}, sort_keys=True))
+            print(topconvert.dump_example(dataclasses.replace(e, top_parse=None)))
     return 0
 
 

@@ -71,13 +71,21 @@ def check_call(call: ApiCall, spec: ApiSpec) -> ViolationReport:
     )
 
 
-def check(text: str, spec: ApiSpec) -> ViolationReport:
-    """Evaluate all four constraint bits for one generated string."""
+def parse_and_check(text: str, spec: ApiSpec) -> tuple[ApiCall | None, ViolationReport]:
+    """Parse ``text`` once; return the call (None if it does not parse) and its report."""
     try:
         call = parse(text)
     except ParseError as e:
-        return ViolationReport(ConstraintSignature(0, 0, 0, 0), parse_error=e)
-    return check_call(call, spec)
+        # Without its traceback the error pins no frames: a caller frame that
+        # holds the report would otherwise be in a reference cycle with it.
+        e.with_traceback(None)
+        return None, ViolationReport(ConstraintSignature(0, 0, 0, 0), parse_error=e)
+    return call, check_call(call, spec)
+
+
+def check(text: str, spec: ApiSpec) -> ViolationReport:
+    """Evaluate all four constraint bits for one generated string."""
+    return parse_and_check(text, spec)[1]
 
 
 def grounded_values_in_utterance(call: ApiCall, utterance: str) -> bool:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
-from .expr import ApiCall, Grounded, ParseError, flatten, parse, serialize
+from .expr import ApiCall, Grounded, ParseError, flatten, parse
 
 
 @dataclass(frozen=True)
@@ -52,25 +53,16 @@ def _try_parse(text: str) -> ApiCall | None:
         return None
 
 
-def exact_match(pairs: list[EvalPair]) -> float:
-    """Fraction of pairs whose prediction canonicalizes to the gold call."""
-    if not pairs:
-        return 0.0
-    matches = 0
-    for pair in pairs:
-        gold = serialize(parse(pair.gold))
-        pred = _try_parse(pair.predicted)
-        if pred is not None and serialize(pred) == gold:
-            matches += 1
-    return matches / len(pairs)
-
-
-def _micro_f1(counts: list[tuple[Counter, Counter | None]]) -> float:
+def _micro_f1(
+    calls: list[tuple[ApiCall, ApiCall | None]], multiset: Callable[[ApiCall], Counter]
+) -> float:
     tp = fp = fn = 0
-    for gold, pred in counts:
-        if pred is None:
+    for gold_call, pred_call in calls:
+        gold = multiset(gold_call)
+        if pred_call is None:
             fn += sum(gold.values())
             continue
+        pred = multiset(pred_call)
         overlap = sum((gold & pred).values())
         tp += overlap
         fp += sum(pred.values()) - overlap
@@ -88,23 +80,32 @@ def _micro_f1(counts: list[tuple[Counter, Counter | None]]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def intent_f1(pairs: list[EvalPair]) -> float:
-    counts = []
-    for pair in pairs:
-        gold = intent_multiset(parse(pair.gold))
-        pred = _try_parse(pair.predicted)
-        counts.append((gold, None if pred is None else intent_multiset(pred)))
-    return _micro_f1(counts)
+def evaluate_calls(calls: list[tuple[ApiCall, ApiCall | None]]) -> MetricsReport:
+    """Metrics over already-parsed (gold, prediction) calls; None is an unparseable prediction.
 
-
-def slot_f1(pairs: list[EvalPair]) -> float:
-    counts = []
-    for pair in pairs:
-        gold = slot_multiset(parse(pair.gold))
-        pred = _try_parse(pair.predicted)
-        counts.append((gold, None if pred is None else slot_multiset(pred)))
-    return _micro_f1(counts)
+    Exact match compares the calls themselves: ``parse(serialize(c)) == c``
+    makes the canonical form injective, so two calls are equal exactly when
+    their canonical strings are.
+    """
+    em = sum(pred == gold for gold, pred in calls) / len(calls) if calls else 0.0
+    return MetricsReport(
+        em, _micro_f1(calls, intent_multiset), _micro_f1(calls, slot_multiset), len(calls)
+    )
 
 
 def evaluate(pairs: list[EvalPair]) -> MetricsReport:
-    return MetricsReport(exact_match(pairs), intent_f1(pairs), slot_f1(pairs), len(pairs))
+    """Parse each gold and each prediction once and score them; a bad gold raises ParseError."""
+    return evaluate_calls([(parse(p.gold), _try_parse(p.predicted)) for p in pairs])
+
+
+def exact_match(pairs: list[EvalPair]) -> float:
+    """Fraction of pairs whose prediction canonicalizes to the gold call."""
+    return evaluate(pairs).exact_match
+
+
+def intent_f1(pairs: list[EvalPair]) -> float:
+    return evaluate(pairs).intent_f1
+
+
+def slot_f1(pairs: list[EvalPair]) -> float:
+    return evaluate(pairs).slot_f1

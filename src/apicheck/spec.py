@@ -64,14 +64,19 @@ def derive_from_corpus(calls: Iterable[ApiCall]) -> ApiSpec:
     return ApiSpec(frozenset(functions), frozenset(arguments), associations)
 
 
-def save_spec(spec: ApiSpec, path: str | Path) -> None:
-    """Write a spec file; arrays sorted for byte-stable output."""
+def dump_spec(spec: ApiSpec) -> str:
+    """Spec file text without the final newline; arrays sorted for byte-stable output."""
     doc = {
         "functions": sorted(spec.functions),
         "arguments": sorted(spec.arguments),
         "associations": {f: sorted(a) for f, a in sorted(spec.associations.items())},
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def save_spec(spec: ApiSpec, path: str | Path) -> None:
+    """Write a spec file."""
+    Path(path).write_text(dump_spec(spec) + "\n", encoding="utf-8")
 
 
 def load_spec(path: str | Path) -> ApiSpec:

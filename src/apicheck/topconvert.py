@@ -230,15 +230,20 @@ def load_examples(path: str | Path, require_api_call: bool = False) -> list[Exam
     return out
 
 
+def dump_example(e: Example) -> str:
+    """One JSONL record without the newline; absent api_call/top_parse are left out."""
+    rec = {"id": e.id, "domain": e.domain, "utterance": e.utterance}
+    if e.api_call is not None:
+        rec["api_call"] = e.api_call
+    if e.top_parse is not None:
+        rec["top_parse"] = e.top_parse
+    return json.dumps(rec, sort_keys=True)
+
+
 def write_examples(examples: Iterable[Example], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in examples:
-            rec = {"id": e.id, "domain": e.domain, "utterance": e.utterance}
-            if e.api_call is not None:
-                rec["api_call"] = e.api_call
-            if e.top_parse is not None:
-                rec["top_parse"] = e.top_parse
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(dump_example(e) + "\n")
 
 
 def convert_example(example: Example) -> Example:

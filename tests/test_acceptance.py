@@ -14,6 +14,7 @@ import pytest
 
 from apicheck.constraints import check, violation_rates
 from apicheck.decode import (
+    Mode,
     advance,
     allowed_tokens,
     mock_decode,
@@ -273,7 +274,7 @@ def test_soundness_no_dead_ends_and_completeness():
     initial, seen, edges = _walk_graph(spec, vocab, max_string_len=2, max_depth=2)
 
     # backward reachability of Complete
-    complete = {cfg for cfg in seen if cfg[0] == 7}
+    complete = {cfg for cfg in seen if cfg[0] is Mode.COMPLETE}
     assert complete
     can_finish = set(complete)
     changed = True

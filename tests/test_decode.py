@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,37 @@ def test_new_session_unspellable_name():
     with pytest.raises(UnspellableNameError) as err:
         new_session(GET_ALARMS_SPEC, vocab)
     assert "DATE_TIME" in err.value.names
+
+
+@given(st.data())
+def test_unspellable_names_match_segmentation_oracle(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    names = sorted({genutil.random_identifier(rng, max_len=6) for _ in range(4)})
+    texts = set()
+    for _ in range(rng.randint(1, 15)):
+        name = rng.choice(names)
+        i = rng.randrange(len(name))
+        texts.add(name[i : rng.randint(i + 1, min(len(name), i + 3))])
+    vocab = Vocab.from_texts(sorted(texts), eos_text=rng.choice(["", names[0][:2]]))
+    spec = ApiSpec(frozenset(names[:1]), frozenset(names[1:]), {})
+    expected = [name for name in names if not segmentations(name, vocab)]
+    if not expected:
+        new_session(spec, vocab)
+        return
+    with pytest.raises(UnspellableNameError) as err:
+        new_session(spec, vocab)
+    assert err.value.names == expected
+
+
+def test_long_name_session_build_is_fast():
+    # Every <=4-char substring is a token: about 2e8 segmentations of the name.
+    name = "ABCDEFGHIJKLMNOPQRSTUVWXYZ_ABC"
+    texts = {name[i:j] for i in range(len(name)) for j in range(i + 1, min(len(name), i + 4) + 1)}
+    vocab = Vocab.from_texts(sorted(texts) + [" ", "(", ")"])
+    start = time.perf_counter()
+    state = new_session(ApiSpec(frozenset({name})), vocab)
+    assert time.perf_counter() - start < 0.5
+    assert _texts(vocab, allowed_tokens(state)) == ["A", "AB", "ABC", "ABCD"]
 
 
 def test_new_session_empty_spec():

@@ -1,7 +1,9 @@
 """Command-line surface over the library modules.
 
-Exit codes: 0 success, 1 domain error (parse failure, malformed file, ...),
-2 usage error. Machine-readable results go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 bad input (parse failure, malformed file, out-of-range
+value, ...), 2 usage error. Machine-readable results go to stdout, diagnostics
+to stderr. Commands let library errors propagate; ``main`` is the one place that
+turns them into a single ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -22,45 +25,16 @@ DEFAULT_DESCRIPTION = (
 
 
 class DomainError(Exception):
-    pass
-
-
-def _load_spec(path: str) -> apispec.ApiSpec:
-    try:
-        return apispec.load_spec(path)
-    except (OSError, apispec.SpecFormatError) as e:
-        raise DomainError(str(e)) from e
-
-
-def _load_vocab(path: str) -> decode.Vocab:
-    try:
-        return decode.load_vocab(path)
-    except (OSError, decode.VocabFormatError) as e:
-        raise DomainError(str(e)) from e
-
-
-def _load_examples(path: str, require_api_call: bool = False) -> list[topconvert.Example]:
-    try:
-        return topconvert.load_examples(path, require_api_call=require_api_call)
-    except (OSError, topconvert.ExampleFormatError) as e:
-        raise DomainError(str(e)) from e
+    """An input error whose message the CLI writes itself."""
 
 
 def _cmd_parse(args) -> int:
-    try:
-        call = parse(args.expression)
-    except ParseError as e:
-        raise DomainError(str(e)) from e
-    print(serialize(call))
+    print(serialize(parse(args.expression)))
     return 0
 
 
 def _cmd_flatten(args) -> int:
-    try:
-        call = parse(args.expression)
-    except ParseError as e:
-        raise DomainError(str(e)) from e
-    for flat in flatten(call):
+    for flat in flatten(parse(args.expression)):
         rec = {"index": flat.index, "function": flat.function, "args": []}
         for name, value in flat.args:
             if isinstance(value, Grounded):
@@ -72,7 +46,7 @@ def _cmd_flatten(args) -> int:
 
 
 def _cmd_derive_spec(args) -> int:
-    examples = _load_examples(args.examples, require_api_call=True)
+    examples = topconvert.load_examples(args.examples, require_api_call=True)
     derived = apispec.derive_from_corpus([parse(e.api_call) for e in examples])
     if args.out:
         apispec.save_spec(derived, args.out)
@@ -82,11 +56,8 @@ def _cmd_derive_spec(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    loaded = _load_spec(args.spec)
-    try:
-        lines = Path(args.predictions).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise DomainError(str(e)) from e
+    loaded = apispec.load_spec(args.spec)
+    lines = Path(args.predictions).read_text(encoding="utf-8").splitlines()
     reports = [constraints.check(line, loaded) for line in lines if line.strip()]
     if not reports:
         raise DomainError(f"{args.predictions}: no predictions")
@@ -97,31 +68,30 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    loaded = _load_spec(args.spec)
+    loaded = apispec.load_spec(args.spec)
     calls: list[tuple[ApiCall, ApiCall | None]] = []
     reports: list[constraints.ViolationReport] = []
-    try:
-        with open(args.pairs, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise DomainError(f"{args.pairs}:{lineno}: invalid JSON: {e.msg}") from e
-                for key in ("gold", "predicted"):
-                    if not isinstance(rec.get(key), str):
-                        raise DomainError(f"{args.pairs}:{lineno}: missing field {key!r}")
-                try:
-                    gold = parse(rec["gold"])
-                except ParseError as e:
-                    raise DomainError(f"{args.pairs}:{lineno}: gold does not parse ({e})") from e
-                predicted, violations = constraints.parse_and_check(rec["predicted"], loaded)
-                calls.append((gold, predicted))
-                reports.append(violations)
-    except OSError as e:
-        raise DomainError(str(e)) from e
+    with open(args.pairs, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DomainError(f"{args.pairs}:{lineno}: invalid JSON: {e.msg}") from e
+            if not isinstance(rec, dict):
+                raise DomainError(f"{args.pairs}:{lineno}: record must be an object")
+            for key in ("gold", "predicted"):
+                if not isinstance(rec.get(key), str):
+                    raise DomainError(f"{args.pairs}:{lineno}: missing field {key!r}")
+            try:
+                gold = parse(rec["gold"])
+            except ParseError as e:
+                raise DomainError(f"{args.pairs}:{lineno}: gold does not parse ({e})") from e
+            predicted, violations = constraints.parse_and_check(rec["predicted"], loaded)
+            calls.append((gold, predicted))
+            reports.append(violations)
     if not calls:
         raise DomainError(f"{args.pairs}: no evaluation pairs")
     report = metrics.evaluate_calls(calls)
@@ -135,7 +105,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convert_top(args) -> int:
-    examples = _load_examples(args.infile)
+    examples = topconvert.load_examples(args.infile)
     converted = []
     for example in examples:
         try:
@@ -151,11 +121,8 @@ def _cmd_convert_top(args) -> int:
 
 
 def _cmd_sample_spis(args) -> int:
-    examples = _load_examples(args.infile, require_api_call=True)
-    try:
-        sampled = topconvert.spis_sample(examples, args.n, args.seed)
-    except ValueError as e:
-        raise DomainError(str(e)) from e
+    examples = topconvert.load_examples(args.infile, require_api_call=True)
+    sampled = topconvert.spis_sample(examples, args.n, args.seed)
     if args.out:
         topconvert.write_examples(sampled, args.out)
     else:
@@ -165,27 +132,17 @@ def _cmd_sample_spis(args) -> int:
 
 
 def _build_index(args) -> retrieval.DemoIndex:
-    pool = _load_examples(args.pool, require_api_call=True)
+    pool = topconvert.load_examples(args.pool, require_api_call=True)
     if args.embeddings:
-        try:
-            embedder: retrieval.Embedder = retrieval.PrecomputedEmbedder.from_file(args.embeddings)
-        except (OSError, ValueError) as e:
-            raise DomainError(str(e)) from e
+        embedder: retrieval.Embedder = retrieval.PrecomputedEmbedder.from_file(args.embeddings)
     else:
         embedder = retrieval.HashedBowEmbedder()
-    try:
-        return retrieval.build_index(pool, embedder)
-    except (ValueError, retrieval.EmbeddingLookupError) as e:
-        raise DomainError(str(e)) from e
+    return retrieval.build_index(pool, embedder)
 
 
 def _cmd_retrieve(args) -> int:
     index = _build_index(args)
-    try:
-        ranked = retrieval.retrieve_scored(index, args.query, args.k)
-    except (ValueError, retrieval.EmbeddingLookupError) as e:
-        raise DomainError(str(e)) from e
-    for example, sim in ranked:
+    for example, sim in retrieval.retrieve_scored(index, args.query, args.k):
         print(f"{example.id}\t{sim:.6f}\t{example.utterance}")
     return 0
 
@@ -194,22 +151,16 @@ def _cmd_prompt(args) -> int:
     index = _build_index(args)
     description = DEFAULT_DESCRIPTION
     if args.desc_file:
-        try:
-            description = Path(args.desc_file).read_text(encoding="utf-8").rstrip("\n")
-        except OSError as e:
-            raise DomainError(str(e)) from e
-    try:
-        demos = retrieval.retrieve(index, args.query, args.k)
-        query_text = args.query_text if args.query_text is not None else args.query
-        print(retrieval.build_prompt(description, demos, query_text))
-    except (ValueError, retrieval.EmbeddingLookupError) as e:
-        raise DomainError(str(e)) from e
+        description = Path(args.desc_file).read_text(encoding="utf-8").rstrip("\n")
+    demos = retrieval.retrieve(index, args.query, args.k)
+    query_text = args.query_text if args.query_text is not None else args.query
+    print(retrieval.build_prompt(description, demos, query_text))
     return 0
 
 
 def _cmd_decode_sim(args) -> int:
-    loaded = _load_spec(args.spec)
-    vocab = _load_vocab(args.vocab)
+    loaded = apispec.load_spec(args.spec)
+    vocab = decode.load_vocab(args.vocab)
     reports = []
     incomplete = 0
     for run in range(args.runs):
@@ -218,12 +169,10 @@ def _cmd_decode_sim(args) -> int:
                 loaded, vocab, args.seed + run, args.max_steps,
                 args.max_string_len, args.max_depth,
             )
-        except decode.DecodeError as e:
-            if isinstance(e, decode.IncompleteDecodeError):
-                incomplete += 1
-                print(f"run {run}: INCOMPLETE {e.emitted!r}", file=sys.stderr)
-                continue
-            raise DomainError(str(e)) from e
+        except decode.IncompleteDecodeError as e:
+            incomplete += 1
+            print(f"run {run}: INCOMPLETE {e.emitted!r}", file=sys.stderr)
+            continue
         reports.append(constraints.check(text, loaded))
         print(text)
     if reports:
@@ -233,19 +182,14 @@ def _cmd_decode_sim(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    loaded = _load_spec(args.spec)
-    vocab = _load_vocab(args.vocab)
-    import random as _random
-
-    try:
-        state = decode.new_session(loaded, vocab, args.max_string_len, args.max_depth)
-    except decode.DecodeError as e:
-        raise DomainError(str(e)) from e
+    loaded = apispec.load_spec(args.spec)
+    vocab = decode.load_vocab(args.vocab)
+    state = decode.new_session(loaded, vocab, args.max_string_len, args.max_depth)
     if not args.state_trace:
         ids = sorted(decode.allowed_tokens(state))
         print("0\t" + ",".join(str(i) for i in ids))
         return 0
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     for step in range(args.max_steps):
         ids = sorted(decode.allowed_tokens(state))
         print(f"{step}\t" + ",".join(str(i) for i in ids))
@@ -256,12 +200,9 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_overhead(args) -> int:
-    loaded = _load_spec(args.spec)
-    vocab = _load_vocab(args.vocab)
-    try:
-        report = decode.overhead_report(loaded, vocab, args.steps, args.seed)
-    except decode.DecodeError as e:
-        raise DomainError(str(e)) from e
+    loaded = apispec.load_spec(args.spec)
+    vocab = decode.load_vocab(args.vocab)
+    report = decode.overhead_report(loaded, vocab, args.steps, args.seed)
     print(f"steps: {report.n_steps}")
     print(f"build time: {report.build_time_s:.6f} s")
     print(f"constrained per-step: {report.constrained_per_step_s * 1e6:.3f} us")
@@ -363,9 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Every library format error (spec, vocab, examples, expression, TOP) is a ValueError.
     try:
         return args.func(args)
-    except DomainError as e:
+    except (DomainError, OSError, ValueError, decode.DecodeError,
+            retrieval.EmbeddingLookupError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

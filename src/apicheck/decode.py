@@ -444,6 +444,8 @@ def overhead_report(
     Build time (name spellability check and prefix tables) is reported
     separately from per-step time.
     """
+    if n_steps <= 0:
+        raise ValueError("n_steps must be positive")
     t0 = time.perf_counter()
     initial = new_session(spec, vocab, max_string_len, max_depth)
     build_time = time.perf_counter() - t0

@@ -225,21 +225,21 @@ def serialize(call: ApiCall) -> str:
     return " ".join(toks)
 
 
+def _flatten_into(call: ApiCall, out: list[FlatCall | None]) -> int:
+    idx = len(out)
+    out.append(None)
+    args: list[tuple[str, FlatValue]] = []
+    for arg in call.args:
+        if isinstance(arg.value, StringLit):
+            args.append((arg.name, Grounded(arg.value.text)))
+        else:
+            args.append((arg.name, ChildRef(_flatten_into(arg.value.call, out))))
+    out[idx] = FlatCall(idx, call.function, tuple(args))
+    return idx
+
+
 def flatten(call: ApiCall) -> list[FlatCall]:
     """Pre-order list of function calls; nested values become child indices."""
     out: list[FlatCall | None] = []
-
-    def visit(c: ApiCall) -> int:
-        idx = len(out)
-        out.append(None)
-        args: list[tuple[str, FlatValue]] = []
-        for arg in c.args:
-            if isinstance(arg.value, StringLit):
-                args.append((arg.name, Grounded(arg.value.text)))
-            else:
-                args.append((arg.name, ChildRef(visit(arg.value.call))))
-        out[idx] = FlatCall(idx, c.function, tuple(args))
-        return idx
-
-    visit(call)
+    _flatten_into(call, out)
     return out  # type: ignore[return-value]

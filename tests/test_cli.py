@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,22 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["parse", 'F ( A = "x" )'], 0),
+    (["parse", "F ("], 1),
+    ([], 2),
+])
+def test_module_entry_point_exit_codes(argv, code):
+    # Runs the `sys.exit(main())` path that in-process calls of main skip.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "apicheck.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
 
 
 def test_flatten_command(capsys):

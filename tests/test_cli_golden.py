@@ -1,4 +1,4 @@
-"""Byte-exact stdout of the scoring and rendering commands, parse counts and garbage.
+"""Byte-exact stdout and exit-1 stderr of the CLI, parse counts and garbage.
 
 The files under ``data/cli_golden`` hold each command's stdout on the inputs
 below (``.out``) and, for the commands that take ``--out``, the file it writes
@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import genutil
 from apicheck import expr, metrics
 from apicheck.constraints import ViolationReport
 from apicheck.cli import main
+from apicheck.decode import Vocab, save_vocab
 from apicheck.spec import ApiSpec, save_spec
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
@@ -123,13 +125,107 @@ def test_out_file_matches_golden(command, tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == expected
 
 
-def test_eval_bad_gold_message(tmp_path, capsys):
-    argv = _argv("eval", tmp_path)
-    rows = PAIRS[:2] + [{"gold": "GET_ALARMS (", "predicted": "GET_ALARMS ( )"}]
-    pairs = _jsonl(tmp_path / "pairs.jsonl", rows)
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {pairs}:3: gold does not parse (UnbalancedParen at offset 12: unclosed call)\n"
+def _write_error_inputs(tmp):
+    save_spec(SPEC, tmp / "spec.json")
+    (tmp / "bad_spec.json").write_text('{"functions": []', encoding="utf-8")
+    vocab = genutil.char_vocab(SPEC)
+    save_vocab(vocab, tmp / "vocab.tsv")
+    texts = [t for _, t in vocab.tokens if t and t != "Y"]
+    save_vocab(Vocab.from_texts(texts), tmp / "no_y_vocab.tsv")
+    (tmp / "bad_vocab.tsv").write_text("eos_id\tx\n", encoding="utf-8")
+    (tmp / "preds.txt").write_text("".join(p + "\n" for p in PREDICTIONS), encoding="utf-8")
+    (tmp / "blank.txt").write_text("\n \n", encoding="utf-8")
+    for name, lines in {
+        "invalid_json": ['{"gold": "F ( )"'],
+        "missing_field": ['{"gold": "F ( )"}'],
+        "bad_gold": [json.dumps(PAIRS[0]), json.dumps(PAIRS[1]),
+                     '{"gold": "GET_ALARMS (", "predicted": "GET_ALARMS ( )"}'],
+        "not_object": [json.dumps(PAIRS[0]), "[1]"],
+    }.items():
+        (tmp / f"{name}.jsonl").write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    _jsonl(tmp / "ex.jsonl", EXAMPLES)
+    _jsonl(tmp / "badcall.jsonl", EXAMPLES[:1] + [dict(EXAMPLES[1], api_call="CREATE_ALARM (")])
+    _jsonl(tmp / "bad_top.jsonl", [dict(TOP_RECORDS[0], top_parse="[IN:GET_ALARMS show")])
+    (tmp / "emb.tsv").write_text(
+        "".join(f"{e['id']}\t1.0,{i}.0\n" for i, e in enumerate(EXAMPLES)), encoding="utf-8")
+    (tmp / "bad_emb.tsv").write_text("e1\t1.0,x\n", encoding="utf-8")
+
+
+_SPEC = ["--spec", "{tmp}/spec.json"]
+_DECODE = _SPEC + ["--vocab", "{tmp}/vocab.tsv"]
+_POOL = ["--pool", "{tmp}/ex.jsonl"]
+
+# (id, argv, the one stderr line of an exit-1 run); "{tmp}" stands for the test's
+# tmp directory. Any change to a line is a change to the CLI's error text.
+_NO_FILE = "[Errno 2] No such file or directory: "
+ERROR_ROWS = [
+    ("parse-bad-expression", ["parse", "F ("],
+     "UnbalancedParen at offset 3: unclosed call"),
+    ("flatten-bad-expression", ["flatten", "F ("],
+     "UnbalancedParen at offset 3: unclosed call"),
+    ("missing-spec", ["check", "--spec", "{tmp}/nope.json", "{tmp}/preds.txt"],
+     _NO_FILE + "'{tmp}/nope.json'"),
+    ("malformed-spec", ["check", "--spec", "{tmp}/bad_spec.json", "{tmp}/preds.txt"],
+     "{tmp}/bad_spec.json: invalid JSON at line 1: Expecting ',' delimiter"),
+    ("missing-predictions", ["check", *_SPEC, "{tmp}/nope.txt"],
+     _NO_FILE + "'{tmp}/nope.txt'"),
+    ("no-predictions", ["check", *_SPEC, "{tmp}/blank.txt"],
+     "{tmp}/blank.txt: no predictions"),
+    ("missing-vocab", ["mask", *_SPEC, "--vocab", "{tmp}/nope.tsv"],
+     _NO_FILE + "'{tmp}/nope.tsv'"),
+    ("malformed-vocab", ["decode-sim", *_SPEC, "--vocab", "{tmp}/bad_vocab.tsv"],
+     "{tmp}/bad_vocab.tsv:1: bad eos_id"),
+    ("unspellable-name", ["mask", *_SPEC, "--vocab", "{tmp}/no_y_vocab.tsv"],
+     "names unspellable under vocab: CATEGORY_LOCATION"),
+    ("missing-pairs", ["eval", *_SPEC, "--pairs", "{tmp}/nope.jsonl"],
+     _NO_FILE + "'{tmp}/nope.jsonl'"),
+    ("no-pairs", ["eval", *_SPEC, "--pairs", "{tmp}/blank.txt"],
+     "{tmp}/blank.txt: no evaluation pairs"),
+    ("eval-invalid-json", ["eval", *_SPEC, "--pairs", "{tmp}/invalid_json.jsonl"],
+     "{tmp}/invalid_json.jsonl:1: invalid JSON: Expecting ',' delimiter"),
+    ("eval-missing-field", ["eval", *_SPEC, "--pairs", "{tmp}/missing_field.jsonl"],
+     "{tmp}/missing_field.jsonl:1: missing field 'predicted'"),
+    ("eval-bad-gold", ["eval", *_SPEC, "--pairs", "{tmp}/bad_gold.jsonl"],
+     "{tmp}/bad_gold.jsonl:3: gold does not parse (UnbalancedParen at offset 12: unclosed call)"),
+    ("eval-not-object", ["eval", *_SPEC, "--pairs", "{tmp}/not_object.jsonl"],
+     "{tmp}/not_object.jsonl:2: record must be an object"),
+    ("examples-bad-api-call", ["derive-spec", "--examples", "{tmp}/badcall.jsonl"],
+     "{tmp}/badcall.jsonl:2: api_call does not parse (UnbalancedParen at offset 14: unclosed call)"),
+    ("convert-top-bad-parse", ["convert-top", "--in", "{tmp}/bad_top.jsonl"],
+     "example 't1': unbalanced '[' at offset 19"),
+    ("sample-spis-n-0", ["sample-spis", "--in", "{tmp}/ex.jsonl", "--n", "0"],
+     "n must be positive"),
+    ("retrieve-k-0", ["retrieve", *_POOL, "--query", "alarms", "--k", "0"],
+     "k must be positive"),
+    ("retrieve-unknown-id",
+     ["retrieve", *_POOL, "--query", "zz", "--k", "1", "--embeddings", "{tmp}/emb.tsv"],
+     "\"no precomputed vector for id 'zz'\""),
+    ("malformed-embeddings",
+     ["retrieve", *_POOL, "--query", "e1", "--k", "1", "--embeddings", "{tmp}/bad_emb.tsv"],
+     "{tmp}/bad_emb.tsv:1: bad vector component"),
+    ("missing-desc-file",
+     ["prompt", *_POOL, "--query", "alarms", "--k", "1", "--desc-file", "{tmp}/nope.txt"],
+     _NO_FILE + "'{tmp}/nope.txt'"),
+    ("decode-sim-max-depth-0", ["decode-sim", *_DECODE, "--max-depth", "0"],
+     "max_depth must be >= 1"),
+    ("mask-max-depth-0", ["mask", *_DECODE, "--max-depth", "0"],
+     "max_depth must be >= 1"),
+    ("overhead-steps-0", ["overhead", *_DECODE, "--steps", "0"],
+     "n_steps must be positive"),
+    ("overhead-steps-negative", ["overhead", *_DECODE, "--steps", "-3"],
+     "n_steps must be positive"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", [row[1:] for row in ERROR_ROWS],
+                         ids=[row[0] for row in ERROR_ROWS])
+def test_exit_1_stderr(argv, expected, tmp_path, capsys):
+    _write_error_inputs(tmp_path)
+    tmp = str(tmp_path)
+    assert main([a.replace("{tmp}", tmp) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: " + expected.replace("{tmp}", tmp) + "\n"
 
 
 @pytest.fixture

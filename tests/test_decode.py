@@ -371,6 +371,13 @@ def test_overhead_report_fields_and_ratio():
     assert report.ratio >= 1.0
 
 
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_overhead_report_rejects_non_positive_steps(n_steps):
+    spec = GET_ALARMS_SPEC
+    with pytest.raises(ValueError, match="^n_steps must be positive$"):
+        overhead_report(spec, genutil.char_vocab(spec), n_steps=n_steps)
+
+
 def test_overhead_cost_nondecreasing_with_fanout():
     # larger V_fa fan-out on a fixed vocab should not get cheaper per step
     small = ApiSpec(frozenset({"F"}), frozenset({"AB"}), {"F": frozenset({"AB"})})

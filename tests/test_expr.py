@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 
@@ -5,6 +7,7 @@ from apicheck.expr import (
     ApiCall,
     ArgPair,
     ChildRef,
+    FlatCall,
     Grounded,
     Nested,
     ParseError,
@@ -104,8 +107,6 @@ def test_flatten_single():
 
 
 def FlatOf(index, function, args):
-    from apicheck.expr import FlatCall
-
     return FlatCall(index, function, args)
 
 
@@ -115,6 +116,24 @@ def test_flatten_fig1():
         FlatOf(0, "GET_DIRECTIONS", (("DESTINATION", ChildRef(1)), ("PATH", Grounded("1st ave")))),
         FlatOf(1, "GET_LOCATION", (("CATEGORY_LOCATION", Grounded("auditorium")),)),
     ]
+
+
+def test_flatten_leaves_no_reference_cycles():
+    # A recursive closure refers to itself through its cell, so every list it
+    # built, FlatCalls included, would wait for the cyclic GC.
+    call = parse('F ( A = G ( B = "x" ) )')
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert len(flatten(call)) == 2
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, FlatCall)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not cyclic
 
 
 def test_flatten_three_level_chain():

@@ -159,6 +159,8 @@ def _cmd_prompt(args) -> int:
 
 
 def _cmd_decode_sim(args) -> int:
+    if args.runs < 1:
+        raise DomainError("runs must be >= 1")
     loaded = apispec.load_spec(args.spec)
     vocab = decode.load_vocab(args.vocab)
     reports = []

@@ -9,6 +9,14 @@ can be extended to a complete call, masking by character survival is exact.
 
 Tokens may span a name boundary into structural text (e.g. ``ARMS (``): the
 name-spelling cursor simply hands the residual characters to the grammar.
+
+The mask does not step every token on its own. The session keeps the token
+texts sorted, so tokens sharing a prefix sit in one contiguous range: the mask
+walks that implicit trie, feeds each distinct next character to the automaton
+once, and skips a whole range at its first dead character. Inside a string, a
+token without a quote or backslash is allowed exactly when it fits the
+remaining length, so those tokens are answered from buckets by length and only
+the few tokens holding ``"`` or ``\\`` are stepped.
 """
 
 from __future__ import annotations
@@ -16,7 +24,9 @@ from __future__ import annotations
 import enum
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from .spec import ApiSpec
@@ -112,6 +122,8 @@ def _escape_token(text: str) -> str:
 
 
 def _unescape_token(text: str) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -237,9 +249,10 @@ class DecodeSession:
             raise EmptySpecError("spec has no functions; nothing to generate")
         if max_depth is not None and max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        spendable = tuple(
-            (tid, text) for tid, text in vocab.tokens if tid != vocab.eos_id and text
-        )
+        if max_string_len < 0:
+            raise ValueError("max_string_len must be >= 0")
+        spendable = [(tid, text) for tid, text in vocab.tokens if tid != vocab.eos_id and text]
+        spendable.sort(key=itemgetter(1))
         texts = {text for _, text in spendable}
         unspellable = [
             name for name in sorted(spec.functions | spec.arguments) if not _spellable(name, texts)
@@ -254,7 +267,24 @@ class DecodeSession:
         self._fn_prefixes = _prefix_set(spec.functions)
         self._arg_names = {f: spec.args_for(f) for f in spec.functions}
         self._arg_prefixes = {f: _prefix_set(spec.args_for(f)) for f in spec.functions}
-        self._spendable = spendable
+        # The trie: spendable ids and texts in text order, so the texts that
+        # share a prefix form one contiguous range.
+        self._ids = [tid for tid, _ in spendable]
+        self._texts = [text for _, text in spendable]
+        # String content: plain_by_len[n] holds the ids of the length-n texts
+        # with no quote or backslash, _plain all of them (copying one set is
+        # about 3x faster than filling one from the buckets); _quoted holds
+        # every other token.
+        self._plain_by_len: list[list[int]] = [[]]
+        self._quoted: list[tuple[int, str]] = []
+        for tid, text in spendable:
+            if _QUOTE in text or _BACKSLASH in text:
+                self._quoted.append((tid, text))
+                continue
+            while len(self._plain_by_len) <= len(text):
+                self._plain_by_len.append([])
+            self._plain_by_len[len(text)].append(tid)
+        self._plain = frozenset(tid for bucket in self._plain_by_len for tid in bucket)
 
     # -- character automaton ------------------------------------------------
 
@@ -337,6 +367,48 @@ class DecodeSession:
                 return None
         return cfg
 
+    # -- mask ---------------------------------------------------------------
+
+    def _walk(self, cfg, lo: int, hi: int, depth: int, out: list[int]) -> None:
+        """Append the ids in ``[lo, hi)`` whose text survives from ``cfg``.
+
+        Every text in the range shares its first ``depth`` characters, which
+        have already taken the automaton to ``cfg``. The texts that go on with
+        one character form one sub-range, found by bisection; the character is
+        stepped once, and if it dies the whole sub-range is dropped.
+        """
+        texts = self._texts
+        while lo < hi and len(texts[lo]) == depth:
+            out.append(self._ids[lo])
+            lo += 1
+        while lo < hi:
+            text = texts[lo]
+            ch = text[depth]
+            if ch == "\U0010ffff":  # no next character to bisect for
+                end = hi
+            else:
+                end = bisect_left(texts, text[:depth] + chr(ord(ch) + 1), lo, hi)
+            nxt = self._step_char(cfg, ch)
+            if nxt is not None:
+                self._walk(nxt, lo, end, depth + 1, out)
+            lo = end
+
+    def _string_mask(self, cfg) -> set[int]:
+        """The mask inside a string: plain tokens by the room left, the rest stepped."""
+        room = self.max_string_len - cfg[5]
+        if cfg[6]:  # an escape is pending: only '"' or '\\' may follow
+            allowed: set[int] = set()
+        elif room >= len(self._plain_by_len) - 1:
+            allowed = set(self._plain)
+        else:
+            allowed = set()
+            for bucket in self._plain_by_len[1 : room + 1]:
+                allowed.update(bucket)
+        for tid, text in self._quoted:
+            if self.step_text(cfg, text) is not None:
+                allowed.add(tid)
+        return allowed
+
 
 @dataclass(frozen=True)
 class DecodeState:
@@ -374,11 +446,11 @@ def allowed_tokens(state: DecodeState) -> set[int]:
     if state.is_complete:
         return {session.vocab.eos_id}
     cfg = state.config
-    allowed: set[int] = set()
-    for tid, text in session._spendable:
-        if session.step_text(cfg, text) is not None:
-            allowed.add(tid)
-    return allowed
+    if cfg[0] is _M_STRING:
+        return session._string_mask(cfg)
+    out: list[int] = []
+    session._walk(cfg, 0, len(session._texts), 0, out)
+    return set(out)
 
 
 def advance(state: DecodeState, token_id: int) -> DecodeState:

@@ -214,6 +214,14 @@ ERROR_ROWS = [
      "n_steps must be positive"),
     ("overhead-steps-negative", ["overhead", *_DECODE, "--steps", "-3"],
      "n_steps must be positive"),
+    ("decode-sim-max-string-len-negative", ["decode-sim", *_DECODE, "--max-string-len", "-1"],
+     "max_string_len must be >= 0"),
+    ("mask-max-string-len-negative", ["mask", *_DECODE, "--max-string-len", "-1"],
+     "max_string_len must be >= 0"),
+    ("decode-sim-runs-negative", ["decode-sim", *_DECODE, "--runs", "-2"],
+     "runs must be >= 1"),
+    ("decode-sim-runs-0", ["decode-sim", *_DECODE, "--runs", "0"],
+     "runs must be >= 1"),
 ]
 
 

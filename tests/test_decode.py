@@ -7,6 +7,9 @@ import hypothesis.strategies as st
 
 from apicheck.constraints import check
 from apicheck.decode import (
+    _ESCAPES,
+    DecodeSession,
+    DecodeState,
     DisallowedTokenError,
     EmptySpecError,
     IncompleteDecodeError,
@@ -287,6 +290,115 @@ def test_eos_only_when_complete():
     assert advance(state, vocab.eos_id) == state
 
 
+# -- the mask index against the linear scan ----------------------------------
+
+
+def scan_oracle(state):
+    """The linear scan the mask index replaced: step every spendable token's text."""
+    session = state.session
+    vocab = session.vocab
+    if state.is_complete:
+        return {vocab.eos_id}
+    return {
+        tid
+        for tid, text in vocab.tokens
+        if tid != vocab.eos_id and text and session.step_text(state.config, text) is not None
+    }
+
+
+# Quotes and backslashes at the start, middle and end; non-ASCII text, including
+# the last code point, after which the walk has no next character to bisect
+# for, and the one before the surrogates.
+EDGE_TEXTS = ['a"', '"a', 'a"b', '\\"', '"\\', "a\\", "\\\\", 'b"\\c', '" )', "\u00e9", "\u00e9a",
+              "\u65e5\u672c", "\U0010ffff", '"\U0010ffff', "a\U0010ffff", "\U0010ffffa", "\ud7ff"]
+
+
+def _odd_vocab(spec, rng, style):
+    """A vocab of one genutil style, bent: some single characters dropped,
+    prefixes and extensions of its texts, repeated texts and EDGE_TEXTS added."""
+    if style == "char":
+        base = genutil.char_vocab(spec)
+    elif style == "merge":
+        base = genutil.merge_vocab(spec, rng)
+    else:
+        base = genutil.spanning_vocab(spec, rng)
+    texts = [t for _, t in base.tokens if t]
+    dropped = {t for t in texts if len(t) == 1 and rng.random() < 0.3}
+    texts = [t for t in texts if t not in dropped]
+    for _ in range(rng.randint(0, 12)):
+        text = rng.choice(texts)
+        if len(text) > 1 and rng.random() < 0.5:
+            texts.append(text[: rng.randint(1, len(text) - 1)])  # a prefix of a token
+        else:
+            texts.append(text + rng.choice(texts))  # a token the first one prefixes
+    texts += rng.sample(texts, min(len(texts), rng.randint(0, 4)))  # same text, new id
+    texts += rng.sample(EDGE_TEXTS, rng.randint(0, len(EDGE_TEXTS)))
+    rng.shuffle(texts)
+    return texts
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(["char", "merge", "span"]),
+    st.integers(0, 5),
+    st.sampled_from([None, 1, 2]),
+)
+def test_mask_index_matches_linear_scan(seed, style, max_string_len, max_depth):
+    rng = random.Random(seed)
+    spec, _calls = genutil.random_corpus_spec(rng, n_calls=6)
+    texts = _odd_vocab(spec, rng, style)
+    try:
+        state = new_session(spec, Vocab.from_texts(texts), max_string_len, max_depth)
+    except UnspellableNameError as err:  # a dropped character was needed: give those back
+        texts += sorted(set("".join(err.names)))
+        state = new_session(spec, Vocab.from_texts(texts), max_string_len, max_depth)
+    session = state.session
+    for _ in range(60):
+        allowed = allowed_tokens(state)
+        assert allowed == scan_oracle(state), (state.config, state.emitted)
+        if state.is_complete or not allowed:
+            break
+        state = advance(state, rng.choice(sorted(allowed)))
+    for stack in {(min(spec.functions),), state.stack or (max(spec.functions),)}:
+        for str_len in range(max_string_len + 1):
+            for esc in (False, True):
+                cfg = (Mode.IN_STRING, stack, "", "", False, str_len, esc)
+                in_string = DecodeState(session, cfg)
+                assert allowed_tokens(in_string) == scan_oracle(in_string), (str_len, esc)
+
+
+def test_mask_steps_few_characters_of_a_large_vocab(monkeypatch):
+    # A count, not a time: a linear scan steps at least one character per token,
+    # the walk one per live trie edge.
+    rng = random.Random(8)
+    spec = genutil.random_toy_spec(rng, max_functions=12, max_arguments=20, max_args_per_function=4)
+    names = sorted(spec.functions | spec.arguments)
+    texts = {n[i:j] for n in names for i in range(len(n))
+             for j in range(i + 1, min(len(n), i + 4) + 1)}
+    texts |= set(genutil.STRUCTURAL_CHARS) | set(genutil.STRING_ALPHABET) | {"\\", " ( ", '" )'}
+    while len(texts) < 8000:
+        filler = (rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(rng.randint(2, 8)))
+        texts.add("".join(filler))
+    vocab = Vocab.from_texts(sorted(texts))
+    total_chars = sum(len(t) for t in texts)
+    by_text = {t: i for i, t in vocab.tokens}
+    start = new_session(spec, vocab)
+    in_call = start
+    for ch in min(spec.functions) + " ( ":
+        in_call = advance(in_call, by_text[ch])
+    stepped = []
+    step_char = DecodeSession._step_char
+    monkeypatch.setattr(DecodeSession, "_step_char",
+                        lambda self, cfg, ch: stepped.append(ch) or step_char(self, cfg, ch))
+    for state, mode in [(start, Mode.EXPECT_FUNCTION), (in_call, Mode.EXPECT_ARG_OR_CLOSE)]:
+        assert state.mode is mode
+        stepped.clear()
+        allowed = allowed_tokens(state)
+        assert len(stepped) < 0.05 * total_chars, (mode, len(stepped), total_chars)
+        assert allowed == scan_oracle(state)
+
+
 # -- mock decoding -----------------------------------------------------------
 
 
@@ -333,7 +445,8 @@ def test_zero_violation_property(spec_seed, decode_seed, style):
 
 
 def test_vocab_round_trip(tmp_path):
-    vocab = Vocab.from_texts(["GET", " ( ", "a\tb", "line\nbreak", "back\\slash"])
+    escaped = [f"a{c}b" for c in _ESCAPES] + list(_ESCAPES) + ["".join(_ESCAPES)]
+    vocab = Vocab.from_texts(["GET", " ( ", "a\tb", "line\nbreak", "back\\slash"] + escaped)
     path = tmp_path / "vocab.tsv"
     save_vocab(vocab, path)
     assert load_vocab(path) == vocab
@@ -348,6 +461,8 @@ def test_vocab_round_trip(tmp_path):
         "eos_id\t1\nnot_an_int\tA\n",
         "eos_id\t9\n0\tA\n",  # eos id missing from table
         "eos_id\t1\n0\tA\n1\t\n0\tB\n",  # duplicate id
+        "eos_id\t0\n0\tx\\q\n",  # unknown escape
+        "eos_id\t0\n0\tx\\\n",  # escape at the end of the text
     ],
 )
 def test_vocab_malformed(tmp_path, content):

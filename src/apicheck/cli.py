@@ -134,7 +134,8 @@ def _cmd_sample_spis(args) -> int:
 def _build_index(args) -> retrieval.DemoIndex:
     pool = topconvert.load_examples(args.pool, require_api_call=True)
     if args.embeddings:
-        embedder: retrieval.Embedder = retrieval.PrecomputedEmbedder.from_file(args.embeddings)
+        vectors = retrieval.load_embeddings(args.embeddings)
+        embedder: retrieval.Embedder = retrieval.PrecomputedEmbedder(vectors)
     else:
         embedder = retrieval.HashedBowEmbedder()
     return retrieval.build_index(pool, embedder)
@@ -306,11 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Every library format error (spec, vocab, examples, expression, TOP) is a ValueError.
+    # Every library input error, an unknown embedding id included, is a ValueError.
     try:
         return args.func(args)
-    except (DomainError, OSError, ValueError, decode.DecodeError,
-            retrieval.EmbeddingLookupError) as e:
+    except (DomainError, OSError, ValueError, decode.DecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

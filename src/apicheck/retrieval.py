@@ -29,7 +29,7 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
-class EmbeddingLookupError(KeyError):
+class EmbeddingLookupError(ValueError):
     """Missing id in a precomputed embeddings table."""
 
 
@@ -69,10 +69,6 @@ class PrecomputedEmbedder:
         self.vectors = {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()}
         self.dimension = dims.pop()
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PrecomputedEmbedder":
-        return cls(load_embeddings(path))
-
     def embed(self, key: str) -> np.ndarray:
         try:
             return self.vectors[key]
@@ -92,9 +88,12 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
                 raise ValueError(f"{path}:{lineno}: expected id<TAB>values")
             key, _, values = line.partition("\t")
             try:
-                out[key] = np.array([float(x) for x in values.split(",")], dtype=np.float64)
+                vec = np.array([float(x) for x in values.split(",")], dtype=np.float64)
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: bad vector component") from e
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: bad vector component")
+            out[key] = vec
     return out
 
 
@@ -106,42 +105,52 @@ def save_embeddings(vectors: Mapping[str, np.ndarray], path: str | Path) -> None
 
 @dataclass(frozen=True)
 class DemoIndex:
-    entries: tuple[tuple[Example, np.ndarray], ...]
-    dimension: int
+    """The pool's embeddings as the rows of one (P, D) matrix, scaled to unit
+    length (a zero vector stays zero), in the order of ``examples``."""
+
+    examples: tuple[Example, ...]
+    vectors: np.ndarray
     embedder: Embedder
 
 
 def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
     if not examples:
         raise ValueError("cannot build an index over zero examples")
-    entries = []
-    for ex in examples:
-        key = ex.id if embedder.keyed_by_id else ex.utterance
-        vec = embedder.embed(key)
+    # Filled row by row: stacking a list of rows, or normalising the whole matrix
+    # at once, would briefly hold a second copy of the pool.
+    vectors = np.empty((len(examples), embedder.dimension), dtype=np.float64)
+    for row, ex in zip(vectors, examples):
+        vec = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
         if len(vec) != embedder.dimension:
             raise ValueError(
                 f"embedder dimension mismatch: {len(vec)} != {embedder.dimension}"
             )
-        entries.append((ex, vec))
-    return DemoIndex(tuple(entries), embedder.dimension, embedder)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+        norm = np.linalg.norm(vec)
+        row[:] = vec / norm if norm > 0 else vec
+    return DemoIndex(tuple(examples), vectors, embedder)
 
 
 def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Example, float]]:
-    """Top-k entries by cosine similarity, most similar first; ties by ascending id."""
+    """Top-k entries by cosine similarity, most similar first.
+
+    Similarities that are equal after rounding to 12 decimals are ties, and
+    ties go by ascending id; the similarities returned are not rounded. A zero
+    vector, in the pool or as the query, has similarity 0 with everything.
+    """
     if k <= 0:
         raise ValueError("k must be positive")
     query = index.embedder.embed(utterance)
-    scored = [(ex, cosine_similarity(query, vec)) for ex, vec in index.entries]
-    scored.sort(key=lambda pair: (-pair[1], pair[0].id))
-    return scored[:k]
+    norm = np.linalg.norm(query)
+    sims = index.vectors @ (query / norm if norm > 0 else query)
+    rounded = np.round(sims, 12)
+    candidates = range(len(sims))
+    if k < len(sims):
+        # Every entry that rounds at least as high as the k-th best, ties included.
+        kth = np.partition(rounded, len(sims) - k)[len(sims) - k]
+        candidates = np.flatnonzero(rounded >= kth).tolist()
+    examples = index.examples
+    best = sorted(candidates, key=lambda i: (-rounded[i], examples[i].id))[:k]
+    return [(examples[i], float(sims[i])) for i in best]
 
 
 def retrieve(index: DemoIndex, utterance: str, k: int) -> list[Example]:

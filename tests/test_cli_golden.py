@@ -80,6 +80,14 @@ TOP_RECORDS = [
      "top_parse": "[IN:CREATE_ALARM wake me up ]", "api_call": "STALE ( )"},
 ]
 
+# The retrieval pool: EXAMPLES plus a later copy of e1's utterance under a lower id,
+# so equal similarities must come out by ascending id.
+POOL = EXAMPLES + [{"id": "e0", "domain": "alarm", "utterance": "show my alarms",
+                    "api_call": "GET_ALARMS ( )"}]
+
+# Precomputed vectors for POOL: e0 is e1 scaled, e3 is a zero vector.
+POOL_EMBEDDINGS = "e0\t2.0,0.0\ne1\t1.0,0.0\ne2\t1.0,1.0\ne3\t0.0,0.0\ne4\t-1.0,0.5\n"
+
 SPIS_RECORDS = [
     dict(rec, top_parse=f"[IN:{rec['api_call'].split()[0]} {rec['utterance']} ]")
     for rec in EXAMPLES
@@ -104,12 +112,26 @@ def _argv(command, tmp_path):
         return ["derive-spec", "--examples", _jsonl(tmp_path / "ex.jsonl", EXAMPLES)]
     if command == "convert-top":
         return ["convert-top", "--in", _jsonl(tmp_path / "top.jsonl", TOP_RECORDS)]
+    if command.startswith(("retrieve", "prompt")):
+        pool = ["--pool", _jsonl(tmp_path / "pool.jsonl", POOL)]
+        emb = tmp_path / "emb.tsv"
+        emb.write_text(POOL_EMBEDDINGS, encoding="utf-8")
+        return {
+            "retrieve": ["retrieve", *pool, "--query", "show my alarms", "--k", "5"],
+            "prompt": ["prompt", *pool, "--query", "alarms for tomorrow", "--k", "2"],
+            "retrieve-embeddings": ["retrieve", *pool, "--query", "e1", "--k", "5",
+                                    "--embeddings", str(emb)],
+            "prompt-embeddings": ["prompt", *pool, "--query", "e2", "--query-text",
+                                  "wake me at noon", "--k", "2", "--embeddings", str(emb)],
+        }[command]
     assert command == "sample-spis"
     return ["sample-spis", "--in", _jsonl(tmp_path / "spis.jsonl", SPIS_RECORDS),
             "--n", "1", "--seed", "3"]
 
 
-@pytest.mark.parametrize("command", ["check", "eval", "derive-spec", "convert-top", "sample-spis"])
+@pytest.mark.parametrize("command", ["check", "eval", "derive-spec", "convert-top", "sample-spis",
+                                     "retrieve", "prompt", "retrieve-embeddings",
+                                     "prompt-embeddings"])
 def test_stdout_matches_golden(command, tmp_path, capsys):
     assert main(_argv(command, tmp_path)) == 0
     expected = (GOLDEN / f"{command}.out").read_text(encoding="utf-8")
@@ -149,6 +171,7 @@ def _write_error_inputs(tmp):
     (tmp / "emb.tsv").write_text(
         "".join(f"{e['id']}\t1.0,{i}.0\n" for i, e in enumerate(EXAMPLES)), encoding="utf-8")
     (tmp / "bad_emb.tsv").write_text("e1\t1.0,x\n", encoding="utf-8")
+    (tmp / "nonfinite_emb.tsv").write_text("e1\t1.0,2.0\ne2\tnan,1.0\n", encoding="utf-8")
 
 
 _SPEC = ["--spec", "{tmp}/spec.json"]
@@ -199,10 +222,13 @@ ERROR_ROWS = [
      "k must be positive"),
     ("retrieve-unknown-id",
      ["retrieve", *_POOL, "--query", "zz", "--k", "1", "--embeddings", "{tmp}/emb.tsv"],
-     "\"no precomputed vector for id 'zz'\""),
+     "no precomputed vector for id 'zz'"),
     ("malformed-embeddings",
      ["retrieve", *_POOL, "--query", "e1", "--k", "1", "--embeddings", "{tmp}/bad_emb.tsv"],
      "{tmp}/bad_emb.tsv:1: bad vector component"),
+    ("nonfinite-embeddings",
+     ["retrieve", *_POOL, "--query", "e1", "--k", "1", "--embeddings", "{tmp}/nonfinite_emb.tsv"],
+     "{tmp}/nonfinite_emb.tsv:2: bad vector component"),
     ("missing-desc-file",
      ["prompt", *_POOL, "--query", "alarms", "--k", "1", "--desc-file", "{tmp}/nope.txt"],
      _NO_FILE + "'{tmp}/nope.txt'"),

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
 
 from apicheck.retrieval import (
     DemoIndex,
@@ -66,8 +69,19 @@ def test_default_embedder_deterministic_unit_norm():
 def test_build_index_counts_and_duplicates():
     pool = _pool() + [Example("p4", "toy", "show my alarms", "A ( )")]
     index = build_index(pool, HashedBowEmbedder())
-    assert len(index.entries) == 4
-    assert np.array_equal(index.entries[0][1], index.entries[3][1])
+    assert len(index.examples) == 4
+    assert np.array_equal(index.vectors[0], index.vectors[3])
+
+
+def test_build_index_holds_one_copy_of_the_pool():
+    pool = [Example(f"p{i}", "toy", f"word{i} show my alarms", "A ( )") for i in range(1000)]
+    tracemalloc.start()
+    try:
+        index = build_index(pool, HashedBowEmbedder())
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * index.vectors.nbytes
 
 
 def test_build_index_rejects_empty():
@@ -120,6 +134,105 @@ def test_ties_broken_by_ascending_id():
     index = build_index(pool, PrecomputedEmbedder({**vectors, "q": np.array([1.0, 0.0])}))
     got = retrieve(index, "q", 3)
     assert [e.id for e in got] == ["x1", "x2", "x3"]
+
+
+def test_ties_are_equal_to_12_decimals():
+    # Both cosines are sqrt(4/11), but float arithmetic may compute them a bit
+    # apart (one cosine at a time gives b one more ULP); they tie, so a comes first.
+    query = "for is please show can is night my today you what me set for mom office to rain"
+    pool = _examples(
+        [
+            ("b", "for my for is is meeting my the kids am is friday to today heavy want warm "
+                  "how movie please mom song", "B ( )"),
+            ("a", "is please can you alarm mom for snow", "A ( )"),
+        ]
+    )
+    index = build_index(pool, HashedBowEmbedder())
+    got = retrieve_scored(index, query, 2)
+    assert [e.id for e, _s in got] == ["a", "b"]
+    assert all(abs(s - math.sqrt(4 / 11)) < 1e-12 for _e, s in got)
+    assert [e.id for e in retrieve(index, query, 1)] == ["a"]
+
+
+def _cosine(a, b):
+    dot = sum(float(x) * float(y) for x, y in zip(a, b))
+    na = math.sqrt(sum(float(x) ** 2 for x in a))
+    nb = math.sqrt(sum(float(y) ** 2 for y in b))
+    return 0.0 if na == 0 or nb == 0 else dot / (na * nb)
+
+
+def _assert_matches_oracle(index, query, query_vec, ids, pool_vecs, k):
+    """retrieve_scored against pairwise cosines ordered by (-round(sim, 12), id)."""
+    sims = [_cosine(query_vec, v) for v in pool_vecs]
+    # Next to a rounding boundary, two computations of one cosine that differ
+    # in the last bit may round apart; the rule itself is only defined away from it.
+    assume(all(abs(abs(s) * 1e12 % 1 - 0.5) > 1e-3 for s in sims))
+    oracle = sorted(zip(ids, sims), key=lambda t: (-round(t[1], 12), t[0]))[:k]
+    got = [(e.id, s) for e, s in retrieve_scored(index, query, k)]
+    assert [i for i, _s in got] == [i for i, _s in oracle]
+    assert all(abs(g - o) < 1e-12 for (_i, g), (_j, o) in zip(got, oracle))
+
+
+def _ids(draw, n):
+    return draw(st.lists(st.text("abc", min_size=1, max_size=3), unique=True,
+                         min_size=n, max_size=n))
+
+
+_WORDS = ["show", "my", "alarms", "play", "jazz", "rain"]
+_phrases = st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join)
+
+
+@st.composite
+def _text_pools(draw):
+    utterances = draw(st.lists(_phrases, min_size=1, max_size=8))
+    n = len(utterances)
+    return utterances, _ids(draw, n), draw(_phrases), draw(st.integers(1, n + 2))
+
+
+@given(_text_pools())
+@example((["show my", "play jazz", "show my"], ["b", "c", "a"], "show my", 1))
+@example((["", "rain", ""], ["c", "b", "a"], "show", 2))
+def test_retrieve_scored_matches_cosine_oracle(case):
+    # Duplicate utterances, empty ones (zero rows) and k above the pool size.
+    utterances, ids, query, k = case
+    pool = _examples([(i, u, "A ( )") for i, u in zip(ids, utterances)])
+    emb = HashedBowEmbedder()
+    index = build_index(pool, emb)
+    vecs = [emb.embed(u) for u in utterances]
+    _assert_matches_oracle(index, query, emb.embed(query), ids, vecs, k)
+
+
+_vectors = st.tuples(*[st.integers(-1, 2)] * 3)
+
+
+@st.composite
+def _vector_pools(draw):
+    base = draw(st.lists(_vectors, min_size=1, max_size=8))
+    scales = draw(st.lists(st.sampled_from([1.0, 0.1, 3.0, 1e6]),
+                           min_size=len(base), max_size=len(base)))
+    rows = [np.array(v, dtype=np.float64) * c for v, c in zip(base, scales)]
+    query = np.array(draw(_vectors), dtype=np.float64)
+    return rows, _ids(draw, len(rows)), query, draw(st.integers(1, len(rows) + 2))
+
+
+@given(_vector_pools())
+@example(([np.array([1.0, 1.0, 0.0]), np.array([0.3, 0.3, 0.0]), np.zeros(3)], ["b", "a", "c"],
+          np.array([1.0, 2.0, 0.0]), 1))
+def test_retrieve_scored_matches_cosine_oracle_on_precomputed_vectors(case):
+    # Scaled copies of one direction, zero vectors, a zero query and k above the pool size.
+    rows, ids, query, k = case
+    vectors = {"?query": query, **dict(zip(ids, rows))}
+    pool = _examples([(i, "u", "A ( )") for i in ids])
+    index = build_index(pool, PrecomputedEmbedder(vectors))
+    _assert_matches_oracle(index, "?query", query, ids, rows, k)
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+def test_load_embeddings_rejects_non_finite(tmp_path, component):
+    path = tmp_path / "vectors.tsv"
+    path.write_text(f"a\t1.0,0.0\nb\t0.5,{component}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: bad vector component"):
+        load_embeddings(path)
 
 
 def test_scale_invariance_of_ranking():

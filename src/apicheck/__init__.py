@@ -16,7 +16,6 @@ from .decode import (
     mock_decode,
     new_session,
     overhead_report,
-    segmentations,
 )
 from .expr import ApiCall, ArgPair, FlatCall, Nested, ParseError, StringLit, flatten, parse, serialize
 from .metrics import EvalPair, evaluate, exact_match, intent_f1, slot_f1
@@ -68,7 +67,6 @@ __all__ = [
     "parse_top",
     "retrieve",
     "save_spec",
-    "segmentations",
     "serialize",
     "slot_f1",
     "spis_sample",

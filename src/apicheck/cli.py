@@ -164,14 +164,12 @@ def _cmd_decode_sim(args) -> int:
         raise DomainError("runs must be >= 1")
     loaded = apispec.load_spec(args.spec)
     vocab = decode.load_vocab(args.vocab)
+    start = decode.new_session(loaded, vocab, args.max_string_len, args.max_depth)
     reports = []
     incomplete = 0
     for run in range(args.runs):
         try:
-            text = decode.mock_decode(
-                loaded, vocab, args.seed + run, args.max_steps,
-                args.max_string_len, args.max_depth,
-            )
+            text = decode.mock_decode(start, args.seed + run, args.max_steps)
         except decode.IncompleteDecodeError as e:
             incomplete += 1
             print(f"run {run}: INCOMPLETE {e.emitted!r}", file=sys.stderr)
@@ -185,20 +183,14 @@ def _cmd_decode_sim(args) -> int:
 
 
 def _cmd_mask(args) -> int:
+    if args.max_steps < 1:
+        raise DomainError("max_steps must be >= 1")
     loaded = apispec.load_spec(args.spec)
     vocab = decode.load_vocab(args.vocab)
     state = decode.new_session(loaded, vocab, args.max_string_len, args.max_depth)
-    if not args.state_trace:
-        ids = sorted(decode.allowed_tokens(state))
-        print("0\t" + ",".join(str(i) for i in ids))
-        return 0
-    rng = random.Random(args.seed)
-    for step in range(args.max_steps):
-        ids = sorted(decode.allowed_tokens(state))
+    walk = decode.iter_steps(state, random.Random(args.seed).choice)
+    for step, (_state, ids) in zip(range(args.max_steps if args.state_trace else 1), walk):
         print(f"{step}\t" + ",".join(str(i) for i in ids))
-        if state.is_complete or not ids:
-            break
-        state = decode.advance(state, rng.choice(ids))
     return 0
 
 

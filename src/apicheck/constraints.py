@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import ApiCall, Grounded, ParseError, flatten, parse
+from .expr import ApiCall, ParseError, flatten, parse
 from .spec import ApiSpec
 
 
@@ -86,18 +86,6 @@ def parse_and_check(text: str, spec: ApiSpec) -> tuple[ApiCall | None, Violation
 def check(text: str, spec: ApiSpec) -> ViolationReport:
     """Evaluate all four constraint bits for one generated string."""
     return parse_and_check(text, spec)[1]
-
-
-def grounded_values_in_utterance(call: ApiCall, utterance: str) -> bool:
-    """Informational span check: every grounded value occurs in the utterance.
-
-    Not part of any constraint bit; diagnostic only.
-    """
-    for flat in flatten(call):
-        for _name, value in flat.args:
-            if isinstance(value, Grounded) and value.text not in utterance:
-                return False
-    return True
 
 
 def violation_rates(reports: list[ViolationReport]) -> ViolationRates:

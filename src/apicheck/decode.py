@@ -9,6 +9,9 @@ can be extended to a complete call, masking by character survival is exact.
 
 Tokens may span a name boundary into structural text (e.g. ``ARMS (``): the
 name-spelling cursor simply hands the residual characters to the grammar.
+Names are spelled through a prefix table per name set: it maps each prefix of
+a name, the empty one included, to the characters that may follow it, and a
+whole name is followed by ``" "``. So spec names must be identifiers.
 
 The mask does not step every token on its own. The session keeps the token
 texts sorted, so tokens sharing a prefix sit in one contiguous range: the mask
@@ -17,6 +20,9 @@ once, and skips a whole range at its first dead character. Inside a string, a
 token without a quote or backslash is allowed exactly when it fits the
 remaining length, so those tokens are answered from buckets by length and only
 the few tokens holding ``"`` or ``\\`` are stepped.
+
+``iter_steps`` is the one decode loop: ``mock_decode``, ``overhead_report`` and
+the CLI's ``mask`` step through it with their own choosers.
 """
 
 from __future__ import annotations
@@ -25,10 +31,13 @@ import enum
 import random
 import time
 from bisect import bisect_left
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
+from .expr import IDENT_CHARS, IDENT_START
 from .spec import ApiSpec
 
 _QUOTE = '"'
@@ -172,50 +181,11 @@ def load_vocab(path: str | Path) -> Vocab:
         raise VocabFormatError(f"{path}: {e}") from e
 
 
-def segmentations(name: str, vocab: Vocab) -> set[tuple[int, ...]]:
-    """All token-id sequences whose texts concatenate exactly to ``name``.
-
-    Position-indexed dynamic programming over reachable offsets, with
-    backtracking to reconstruct every viable sequence.
-    """
-    n = len(name)
-    starts: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for tid, text in vocab.tokens:
-        if tid == vocab.eos_id or not text:
-            continue
-        length = len(text)
-        for i in range(n - length + 1):
-            if name.startswith(text, i):
-                starts[i].append((tid, length))
-    reaches_end = [False] * (n + 1)
-    reaches_end[n] = True
-    for i in range(n - 1, -1, -1):
-        reaches_end[i] = any(reaches_end[i + length] for _, length in starts[i])
-    out: set[tuple[int, ...]] = set()
-    if not reaches_end[0] or n == 0:
-        return out
-
-    acc: list[int] = []
-
-    def walk(i: int) -> None:
-        if i == n:
-            out.add(tuple(acc))
-            return
-        for tid, length in starts[i]:
-            if reaches_end[i + length]:
-                acc.append(tid)
-                walk(i + length)
-                acc.pop()
-
-    walk(0)
-    return out
-
-
 def _spellable(name: str, texts: set[str]) -> bool:
     """Whether some sequence of ``texts`` concatenates to ``name``.
 
-    Reachability over offsets: O(len(name)**2) substring lookups, where
-    ``segmentations`` lists every sequence and is exponential in the length.
+    Reachability over offsets: O(len(name)**2) substring lookups, where listing
+    every sequence would be exponential in the length.
     """
     n = len(name)
     reached = [True] + [False] * n
@@ -227,12 +197,20 @@ def _spellable(name: str, texts: set[str]) -> bool:
     return n > 0 and reached[n]
 
 
-def _prefix_set(names: frozenset[str] | set[str]) -> frozenset[str]:
-    prefixes: set[str] = set()
-    for name in names:
-        for i in range(1, len(name) + 1):
-            prefixes.add(name[:i])
-    return frozenset(prefixes)
+def _next_chars(names: frozenset[str]) -> dict[str, str]:
+    """Each prefix of ``names``, ``""`` included, to the sorted characters that
+    may follow it; a whole name is followed by ``" "``."""
+    follow = {"": ""}
+    # In sorted order a name comes before the names it prefixes, and each
+    # prefix meets its next characters in order, so a repeat is the last one.
+    for name in sorted(names):
+        for i, ch in enumerate(name):
+            prefix = name[:i]
+            have = follow.get(prefix, "")
+            if have[-1:] != ch:
+                follow[prefix] = have + ch
+        follow[name] = " "
+    return follow
 
 
 class DecodeSession:
@@ -251,22 +229,23 @@ class DecodeSession:
             raise ValueError("max_depth must be >= 1")
         if max_string_len < 0:
             raise ValueError("max_string_len must be >= 0")
+        names = sorted(spec.functions | spec.arguments)
+        # The prefix table ends a name at " ", and only identifiers parse back.
+        not_idents = [n for n in names if not (n[:1] in IDENT_START and IDENT_CHARS.issuperset(n))]
+        if not_idents:
+            raise DecodeError(f"names are not identifiers: {', '.join(not_idents)}")
         spendable = [(tid, text) for tid, text in vocab.tokens if tid != vocab.eos_id and text]
         spendable.sort(key=itemgetter(1))
         texts = {text for _, text in spendable}
-        unspellable = [
-            name for name in sorted(spec.functions | spec.arguments) if not _spellable(name, texts)
-        ]
+        unspellable = [name for name in names if not _spellable(name, texts)]
         if unspellable:
             raise UnspellableNameError(unspellable)
         self.spec = spec
         self.vocab = vocab
         self.max_string_len = max_string_len
         self.max_depth = max_depth
-        self._fn_names = frozenset(spec.functions)
-        self._fn_prefixes = _prefix_set(spec.functions)
-        self._arg_names = {f: spec.args_for(f) for f in spec.functions}
-        self._arg_prefixes = {f: _prefix_set(spec.args_for(f)) for f in spec.functions}
+        self._fn_next = _next_chars(spec.functions)
+        self._arg_next = {f: _next_chars(spec.args_for(f)) for f in spec.functions}
         # The trie: spendable ids and texts in text order, so the texts that
         # share a prefix form one contiguous range.
         self._ids = [tid for tid, _ in spendable]
@@ -310,31 +289,24 @@ class DecodeSession:
                 return (_M_VALUE, stack, "", "", False, 0, False)
             return (mode, stack, prefix, "", allow_close, str_len, esc)
         if mode is _M_FUNC:
-            if ch == " ":
-                if prefix in self._fn_names:
-                    return (_M_OPEN, stack + (prefix,), "", "( ", False, 0, False)
+            if ch not in self._fn_next[prefix]:
                 return None
-            extended = prefix + ch
-            if extended in self._fn_prefixes:
-                return (_M_FUNC, stack, extended, "", False, 0, False)
-            return None
+            if ch == " ":
+                return (_M_OPEN, stack + (prefix,), "", "( ", False, 0, False)
+            return (_M_FUNC, stack, prefix + ch, "", False, 0, False)
         if mode is _M_ARG_OR_CLOSE:
-            current = stack[-1]
             if ch == ")" and allow_close and not prefix:
                 return self._close(stack)
-            if ch == " ":
-                if prefix in self._arg_names[current]:
-                    return (_M_EQUALS, stack, "", "= ", False, 0, False)
+            if ch not in self._arg_next[stack[-1]][prefix]:
                 return None
-            extended = prefix + ch
-            if extended in self._arg_prefixes[current]:
-                return (_M_ARG_OR_CLOSE, stack, extended, "", allow_close, 0, False)
-            return None
+            if ch == " ":
+                return (_M_EQUALS, stack, "", "= ", False, 0, False)
+            return (_M_ARG_OR_CLOSE, stack, prefix + ch, "", allow_close, 0, False)
         if mode is _M_VALUE:
             if ch == _QUOTE:
                 return (_M_STRING, stack, "", "", False, 0, False)
             if (self.max_depth is None or len(stack) < self.max_depth) and (
-                ch in self._fn_prefixes
+                ch in self._fn_next[""]
             ):
                 return (_M_FUNC, stack, ch, "", False, 0, False)
             return None
@@ -468,27 +440,30 @@ def advance(state: DecodeState, token_id: int) -> DecodeState:
     return DecodeState(session, cfg, state.emitted + text)
 
 
-def mock_decode(
-    spec: ApiSpec,
-    vocab: Vocab,
-    seed: int,
-    max_steps: int = 4096,
-    max_string_len: int = 256,
-    max_depth: int | None = None,
-) -> str:
-    """Stand-in sampler: uniform seeded choice over allowed tokens until Complete."""
-    state = new_session(spec, vocab, max_string_len, max_depth)
-    rng = random.Random(seed)
-    for step in range(max_steps):
+def iter_steps(
+    state: DecodeState, choose: Callable[[list[int]], int]
+) -> Iterator[tuple[DecodeState, list[int]]]:
+    """The decode loop: yield each state with its sorted allowed ids, then
+    advance by ``choose(ids)``. Stops after a complete state or a dead end."""
+    while True:
+        ids = sorted(allowed_tokens(state))
+        yield state, ids
+        if state.is_complete or not ids:
+            return
+        state = advance(state, choose(ids))
+
+
+def mock_decode(state: DecodeState, seed: int, max_steps: int = 4096) -> str:
+    """Stand-in sampler: from ``state``, uniform seeded choice over allowed tokens
+    until Complete. Raises ``IncompleteDecodeError`` at a dead end or when
+    ``max_steps`` tokens do not complete the call."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    walk = iter_steps(state, random.Random(seed).choice)
+    for step, (state, _ids) in zip(range(max_steps + 1), walk):
         if state.is_complete:
             return state.emitted
-        choices = sorted(allowed_tokens(state))
-        if not choices:
-            raise IncompleteDecodeError(state.emitted, step)
-        state = advance(state, rng.choice(choices))
-    if state.is_complete:
-        return state.emitted
-    raise IncompleteDecodeError(state.emitted, max_steps)
+    raise IncompleteDecodeError(state.emitted, step)
 
 
 @dataclass(frozen=True)
@@ -502,39 +477,27 @@ class OverheadReport:
     ratio: float
 
 
-def overhead_report(
-    spec: ApiSpec,
-    vocab: Vocab,
-    n_steps: int,
-    seed: int = 17,
-    max_string_len: int = 64,
-    max_depth: int | None = 3,
-) -> OverheadReport:
+def overhead_report(spec: ApiSpec, vocab: Vocab, n_steps: int, seed: int = 17) -> OverheadReport:
     """Mean per-step cost of mask+advance vs. an unconstrained sampling step.
 
     Sessions restart on completion until n_steps total steps are consumed.
     Build time (name spellability check and prefix tables) is reported
-    separately from per-step time.
+    separately from per-step time. Strings hold at most 64 characters and
+    calls nest at most 3 deep.
     """
     if n_steps <= 0:
         raise ValueError("n_steps must be positive")
     t0 = time.perf_counter()
-    initial = new_session(spec, vocab, max_string_len, max_depth)
+    initial = new_session(spec, vocab, max_string_len=64, max_depth=3)
     build_time = time.perf_counter() - t0
 
     rng = random.Random(seed)
-    state = initial
     steps = 0
     t0 = time.perf_counter()
     while steps < n_steps:
-        if state.is_complete:
-            state = DecodeState(initial.session)
-        choices = sorted(allowed_tokens(state))
-        if not choices:
-            state = DecodeState(initial.session)
-            continue
-        state = advance(state, rng.choice(choices))
-        steps += 1
+        # Each state after the first is one step; a walk ends complete or dead.
+        _first, *walked = islice(iter_steps(initial, rng.choice), n_steps - steps + 1)
+        steps += len(walked)
     constrained = time.perf_counter() - t0
 
     all_ids = [tid for tid, _ in vocab.tokens]

@@ -20,7 +20,6 @@ from apicheck.decode import (
     mock_decode,
     new_session,
     overhead_report,
-    segmentations,
     Vocab,
 )
 from apicheck.expr import ApiCall, ArgPair, Nested, StringLit, parse, serialize
@@ -30,7 +29,7 @@ from apicheck.spec import ApiSpec, derive_from_corpus
 from apicheck.topconvert import Example, spis_sample
 
 import genutil
-from test_decode import oracle_segmentations
+from test_decode import oracle_segmentations, segmentations
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,10 +53,9 @@ def test_zero_violation_decoding():
             genutil.spanning_vocab(spec, rng),
         ]
         for vocab in vocabs:
+            initial = new_session(spec, vocab, max_string_len=8, max_depth=3)
             for seed in range(34):
-                text = mock_decode(
-                    spec, vocab, seed, max_steps=6000, max_string_len=8, max_depth=3
-                )
+                text = mock_decode(initial, seed, max_steps=6000)
                 assert check(text, spec).signature.as_tuple() == (1, 1, 1, 1)
                 runs += 1
     assert runs >= 1000

@@ -149,6 +149,7 @@ def test_out_file_matches_golden(command, tmp_path, capsys):
 
 def _write_error_inputs(tmp):
     save_spec(SPEC, tmp / "spec.json")
+    save_spec(ApiSpec(frozenset({"get"})), tmp / "lowercase_spec.json")
     (tmp / "bad_spec.json").write_text('{"functions": []', encoding="utf-8")
     vocab = genutil.char_vocab(SPEC)
     save_vocab(vocab, tmp / "vocab.tsv")
@@ -200,6 +201,9 @@ ERROR_ROWS = [
      "{tmp}/bad_vocab.tsv:1: bad eos_id"),
     ("unspellable-name", ["mask", *_SPEC, "--vocab", "{tmp}/no_y_vocab.tsv"],
      "names unspellable under vocab: CATEGORY_LOCATION"),
+    ("name-not-identifier",
+     ["mask", "--spec", "{tmp}/lowercase_spec.json", "--vocab", "{tmp}/vocab.tsv"],
+     "names are not identifiers: get"),
     ("missing-pairs", ["eval", *_SPEC, "--pairs", "{tmp}/nope.jsonl"],
      _NO_FILE + "'{tmp}/nope.jsonl'"),
     ("no-pairs", ["eval", *_SPEC, "--pairs", "{tmp}/blank.txt"],
@@ -248,6 +252,14 @@ ERROR_ROWS = [
      "runs must be >= 1"),
     ("decode-sim-runs-0", ["decode-sim", *_DECODE, "--runs", "0"],
      "runs must be >= 1"),
+    ("decode-sim-max-steps-0", ["decode-sim", *_DECODE, "--max-steps", "0"],
+     "max_steps must be >= 1"),
+    ("decode-sim-max-steps-negative", ["decode-sim", *_DECODE, "--max-steps", "-1"],
+     "max_steps must be >= 1"),
+    ("mask-max-steps-0", ["mask", *_DECODE, "--state-trace", "--max-steps", "0"],
+     "max_steps must be >= 1"),
+    ("mask-max-steps-negative", ["mask", *_DECODE, "--state-trace", "--max-steps", "-1"],
+     "max_steps must be >= 1"),
 ]
 
 

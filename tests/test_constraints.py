@@ -10,7 +10,6 @@ from apicheck.constraints import (
     check_call,
     format_report_line,
     format_summary,
-    grounded_values_in_utterance,
     violation_rates,
 )
 from apicheck.expr import parse, serialize
@@ -108,14 +107,6 @@ def test_report_rendering():
     summary = format_summary(violation_rates([report] * 4))
     assert "C_f violation rate: 100.00%" in summary
     assert "C_s violation rate: 0.00%" in summary
-
-
-def test_span_check_is_informational():
-    call = parse('GET_ALARMS ( DATE_TIME = "tomorrow" )')
-    assert grounded_values_in_utterance(call, "show my alarms for tomorrow")
-    assert not grounded_values_in_utterance(call, "show my alarms")
-    # the span never affects the bits
-    assert check(serialize(call), GET_ALARMS_SPEC).signature.c_a == 1
 
 
 @given(st.lists(api_calls, min_size=1, max_size=5))

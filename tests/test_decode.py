@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -8,6 +9,8 @@ import hypothesis.strategies as st
 from apicheck.constraints import check
 from apicheck.decode import (
     _ESCAPES,
+    _next_chars,
+    DecodeError,
     DecodeSession,
     DecodeState,
     DisallowedTokenError,
@@ -19,12 +22,12 @@ from apicheck.decode import (
     VocabFormatError,
     advance,
     allowed_tokens,
+    iter_steps,
     load_vocab,
     mock_decode,
     new_session,
     overhead_report,
     save_vocab,
-    segmentations,
 )
 from apicheck.expr import parse
 from apicheck.spec import ApiSpec, derive_from_corpus
@@ -45,6 +48,46 @@ def _texts(vocab, ids):
 
 
 # -- segmentations -----------------------------------------------------------
+
+
+def segmentations(name: str, vocab: Vocab) -> set[tuple[int, ...]]:
+    """All token-id sequences whose texts concatenate exactly to ``name``.
+
+    Position-indexed dynamic programming over reachable offsets, with
+    backtracking to reconstruct every viable sequence. Exponential in the
+    length of ``name``: an oracle for the session's spellability check.
+    """
+    n = len(name)
+    starts: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for tid, text in vocab.tokens:
+        if tid == vocab.eos_id or not text:
+            continue
+        length = len(text)
+        for i in range(n - length + 1):
+            if name.startswith(text, i):
+                starts[i].append((tid, length))
+    reaches_end = [False] * (n + 1)
+    reaches_end[n] = True
+    for i in range(n - 1, -1, -1):
+        reaches_end[i] = any(reaches_end[i + length] for _, length in starts[i])
+    out: set[tuple[int, ...]] = set()
+    if not reaches_end[0] or n == 0:
+        return out
+
+    acc: list[int] = []
+
+    def walk(i: int) -> None:
+        if i == n:
+            out.add(tuple(acc))
+            return
+        for tid, length in starts[i]:
+            if reaches_end[i + length]:
+                acc.append(tid)
+                walk(i + length)
+                acc.pop()
+
+    walk(0)
+    return out
 
 
 def test_segmentations_examples():
@@ -150,6 +193,26 @@ def test_long_name_session_build_is_fast():
     state = new_session(ApiSpec(frozenset({name})), vocab)
     assert time.perf_counter() - start < 0.5
     assert _texts(vocab, allowed_tokens(state)) == ["A", "AB", "ABC", "ABCD"]
+
+
+def test_next_chars_table():
+    assert _next_chars(frozenset({"AC", "B", "A", "AB_1", "AB"})) == {
+        "": "AB", "A": " BC", "AB": " _", "AB_": "1", "AB_1": " ", "AC": " ", "B": " ",
+    }
+    assert _next_chars(frozenset()) == {"": ""}
+
+
+@pytest.mark.parametrize("vocab_texts", [None, ["G", "E", "T"]])
+def test_new_session_rejects_names_that_are_not_identifiers(vocab_texts):
+    # Emitted names must parse back: "get ( )" is no call, and a name holding
+    # " " would read as complete in the prefix table.
+    spec = ApiSpec(frozenset({"get", "GET"}), frozenset({"TWO WORDS", "A-B", "1A", "OK"}),
+                   {"get": frozenset({"TWO WORDS"}), "GET": frozenset({"OK", "A-B", "1A"})})
+    vocab = genutil.char_vocab(spec) if vocab_texts is None else Vocab.from_texts(vocab_texts)
+    with pytest.raises(DecodeError) as err:  # checked before spellability
+        new_session(spec, vocab)
+    assert not isinstance(err.value, UnspellableNameError)
+    assert str(err.value) == "names are not identifiers: 1A, A-B, TWO WORDS, get"
 
 
 def test_new_session_empty_spec():
@@ -404,26 +467,33 @@ def test_mask_steps_few_characters_of_a_large_vocab(monkeypatch):
 
 def test_mock_decode_deterministic():
     spec = GET_ALARMS_SPEC
-    vocab = genutil.char_vocab(spec)
-    a = mock_decode(spec, vocab, seed=42, max_string_len=8, max_depth=2)
-    b = mock_decode(spec, vocab, seed=42, max_string_len=8, max_depth=2)
+    start = new_session(spec, genutil.char_vocab(spec), max_string_len=8, max_depth=2)
+    a = mock_decode(start, seed=42)
+    b = mock_decode(start, seed=42)
     assert a == b
 
 
 def test_mock_decode_output_is_always_clean():
     rng = random.Random(0)
     spec, _calls = genutil.random_corpus_spec(rng)
-    vocab = genutil.char_vocab(spec)
+    start = new_session(spec, genutil.char_vocab(spec), max_string_len=8, max_depth=2)
     for seed in range(20):
-        text = mock_decode(spec, vocab, seed, max_steps=3000, max_string_len=8, max_depth=2)
+        text = mock_decode(start, seed, max_steps=3000)
         assert check(text, spec).signature.as_tuple() == (1, 1, 1, 1)
 
 
 def test_mock_decode_incomplete_on_tiny_budget():
     spec = GET_ALARMS_SPEC
-    vocab = genutil.char_vocab(spec)
+    start = new_session(spec, genutil.char_vocab(spec))
     with pytest.raises(IncompleteDecodeError):
-        mock_decode(spec, vocab, seed=0, max_steps=2)
+        mock_decode(start, seed=0, max_steps=2)
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_mock_decode_rejects_max_steps_below_one(max_steps):
+    start = new_session(GET_ALARMS_SPEC, genutil.char_vocab(GET_ALARMS_SPEC))
+    with pytest.raises(ValueError, match="^max_steps must be >= 1$"):
+        mock_decode(start, seed=0, max_steps=max_steps)
 
 
 @settings(max_examples=25, deadline=None)
@@ -437,8 +507,60 @@ def test_zero_violation_property(spec_seed, decode_seed, style):
         vocab = genutil.merge_vocab(spec, rng)
     else:
         vocab = genutil.spanning_vocab(spec, rng)
-    text = mock_decode(spec, vocab, decode_seed, max_steps=4000, max_string_len=6, max_depth=2)
+    start = new_session(spec, vocab, max_string_len=6, max_depth=2)
+    text = mock_decode(start, decode_seed, max_steps=4000)
     assert check(text, spec).signature.as_tuple() == (1, 1, 1, 1)
+
+
+# Two functions whose names differ in one word, each with its own argument.
+NEAR_MISS_SPEC = ApiSpec(
+    frozenset({"GET_ALARMS", "GET_DIRECTIONS"}),
+    frozenset({"DATE_TIME", "DESTINATION"}),
+    {"GET_ALARMS": frozenset({"DATE_TIME"}), "GET_DIRECTIONS": frozenset({"DESTINATION"})},
+)
+
+# Well-formed calls an adversary wants to emit, token by token: a function name
+# one character short, or an argument of the other function.
+ADVERSARIAL_PLANS = [
+    ["GET_ALARM", " ( ", "DATE_TIME", " = ", '"', "x", '"', " )"],
+    ["GET_ALARMS", " ( ", "DESTINATION", " = ", '"', "x", '"', " )"],
+    ["GET_DIRECTION", " ( ", "DESTINATION", " = ", '"', "x", '"', " )"],
+    ["GET_DIRECTIONS", " ( ", "DATE_TIME", " = ", "GET_ALARM", " ( ", " )", " )"],
+]
+
+
+def _adversary(vocab, plan, seed):
+    """A chooser that takes the next token of ``plan``, then eos, whenever it is
+    offered, and otherwise a seeded uniform pick."""
+    by_text = {t: i for i, t in vocab.tokens}
+    wanted = [by_text[t] for t in plan] + [vocab.eos_id]
+    rng = random.Random(seed)
+
+    def choose(ids):
+        return wanted.pop(0) if wanted and wanted[0] in ids else rng.choice(ids)
+
+    return choose
+
+
+def test_adversarial_chooser_is_clean_only_under_the_mask():
+    spec = NEAR_MISS_SPEC
+    texts = {t for plan in ADVERSARIAL_PLANS for t in plan}
+    vocab = Vocab.from_texts(sorted(texts | {t for _, t in genutil.char_vocab(spec).tokens if t}))
+    start = new_session(spec, vocab, max_string_len=4, max_depth=2)
+    all_ids = sorted(tid for tid, _ in vocab.tokens)
+    for seed in range(40):
+        plan = ADVERSARIAL_PLANS[seed % len(ADVERSARIAL_PLANS)]
+        *_, (state, _ids) = itertools.islice(iter_steps(start, _adversary(vocab, plan, seed)), 4000)
+        assert state.is_complete, state.emitted
+        assert check(state.emitted, spec).signature.as_tuple() == (1, 1, 1, 1), state.emitted
+        # The same chooser offered the whole vocabulary emits its plan.
+        choose = _adversary(vocab, plan, seed)
+        unmasked = ""
+        while (tid := choose(all_ids)) != vocab.eos_id:
+            unmasked += vocab.text_of(tid)
+        assert unmasked == "".join(plan)
+        signature = check(unmasked, spec).signature
+        assert signature.c_s == 1 and 0 in signature.as_tuple(), unmasked
 
 
 # -- vocab file IO -----------------------------------------------------------

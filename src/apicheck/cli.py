@@ -24,10 +24,6 @@ DEFAULT_DESCRIPTION = (
 )
 
 
-class DomainError(Exception):
-    """An input error whose message the CLI writes itself."""
-
-
 def _cmd_parse(args) -> int:
     print(serialize(parse(args.expression)))
     return 0
@@ -60,7 +56,7 @@ def _cmd_check(args) -> int:
     lines = Path(args.predictions).read_text(encoding="utf-8").splitlines()
     reports = [constraints.check(line, loaded) for line in lines if line.strip()]
     if not reports:
-        raise DomainError(f"{args.predictions}: no predictions")
+        raise ValueError(f"{args.predictions}: no predictions")
     for report in reports:
         print(constraints.format_report_line(report))
     print(constraints.format_summary(constraints.violation_rates(reports)))
@@ -71,29 +67,19 @@ def _cmd_eval(args) -> int:
     loaded = apispec.load_spec(args.spec)
     calls: list[tuple[ApiCall, ApiCall | None]] = []
     reports: list[constraints.ViolationReport] = []
-    with open(args.pairs, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DomainError(f"{args.pairs}:{lineno}: invalid JSON: {e.msg}") from e
-            if not isinstance(rec, dict):
-                raise DomainError(f"{args.pairs}:{lineno}: record must be an object")
-            for key in ("gold", "predicted"):
-                if not isinstance(rec.get(key), str):
-                    raise DomainError(f"{args.pairs}:{lineno}: missing field {key!r}")
-            try:
-                gold = parse(rec["gold"])
-            except ParseError as e:
-                raise DomainError(f"{args.pairs}:{lineno}: gold does not parse ({e})") from e
-            predicted, violations = constraints.parse_and_check(rec["predicted"], loaded)
-            calls.append((gold, predicted))
-            reports.append(violations)
+    for lineno, rec in topconvert.iter_records(args.pairs):
+        for key in ("gold", "predicted"):
+            if not isinstance(rec.get(key), str):
+                raise ValueError(f"{args.pairs}:{lineno}: missing field {key!r}")
+        try:
+            gold = parse(rec["gold"])
+        except ParseError as e:
+            raise ValueError(f"{args.pairs}:{lineno}: gold does not parse ({e})") from e
+        predicted, violations = constraints.parse_and_check(rec["predicted"], loaded)
+        calls.append((gold, predicted))
+        reports.append(violations)
     if not calls:
-        raise DomainError(f"{args.pairs}: no evaluation pairs")
+        raise ValueError(f"{args.pairs}: no evaluation pairs")
     report = metrics.evaluate_calls(calls)
     rates = constraints.violation_rates(reports)
     print(f"examples: {report.n}")
@@ -111,7 +97,7 @@ def _cmd_convert_top(args) -> int:
         try:
             converted.append(topconvert.convert_example(example))
         except (topconvert.TopFormatError, topconvert.TopConvertError) as e:
-            raise DomainError(f"example {example.id!r}: {e}") from e
+            raise ValueError(f"example {example.id!r}: {e}") from e
     if args.out:
         topconvert.write_examples(converted, args.out)
     else:
@@ -161,7 +147,7 @@ def _cmd_prompt(args) -> int:
 
 def _cmd_decode_sim(args) -> int:
     if args.runs < 1:
-        raise DomainError("runs must be >= 1")
+        raise ValueError("runs must be >= 1")
     loaded = apispec.load_spec(args.spec)
     vocab = decode.load_vocab(args.vocab)
     start = decode.new_session(loaded, vocab, args.max_string_len, args.max_depth)
@@ -184,7 +170,7 @@ def _cmd_decode_sim(args) -> int:
 
 def _cmd_mask(args) -> int:
     if args.max_steps < 1:
-        raise DomainError("max_steps must be >= 1")
+        raise ValueError("max_steps must be >= 1")
     loaded = apispec.load_spec(args.spec)
     vocab = decode.load_vocab(args.vocab)
     state = decode.new_session(loaded, vocab, args.max_string_len, args.max_depth)
@@ -302,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     # Every library input error, an unknown embedding id included, is a ValueError.
     try:
         return args.func(args)
-    except (DomainError, OSError, ValueError, decode.DecodeError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,8 @@ Tokens may span a name boundary into structural text (e.g. ``ARMS (``): the
 name-spelling cursor simply hands the residual characters to the grammar.
 Names are spelled through a prefix table per name set: it maps each prefix of
 a name, the empty one included, to the characters that may follow it, and a
-whole name is followed by ``" "``. So spec names must be identifiers.
+whole name is followed by ``" "``. ``ApiSpec`` guarantees that spec names are
+identifiers, so no name holds ``" "`` and every emitted name parses back.
 
 The mask does not step every token on its own. The session keeps the token
 texts sorted, so tokens sharing a prefix sit in one contiguous range: the mask
@@ -37,14 +38,13 @@ from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
-from .expr import IDENT_CHARS, IDENT_START
 from .spec import ApiSpec
 
 _QUOTE = '"'
 _BACKSLASH = "\\"
 
 
-class DecodeError(Exception):
+class DecodeError(ValueError):
     pass
 
 
@@ -230,10 +230,6 @@ class DecodeSession:
         if max_string_len < 0:
             raise ValueError("max_string_len must be >= 0")
         names = sorted(spec.functions | spec.arguments)
-        # The prefix table ends a name at " ", and only identifiers parse back.
-        not_idents = [n for n in names if not (n[:1] in IDENT_START and IDENT_CHARS.issuperset(n))]
-        if not_idents:
-            raise DecodeError(f"names are not identifiers: {', '.join(not_idents)}")
         spendable = [(tid, text) for tid, text in vocab.tokens if tid != vocab.eos_id and text]
         spendable.sort(key=itemgetter(1))
         texts = {text for _, text in spendable}

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .expr import ApiCall, flatten
+from .expr import ApiCall, flatten, non_identifiers
 
 
 class SpecFormatError(ValueError):
@@ -16,6 +16,8 @@ class SpecFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ApiSpec:
+    """Function and argument names, all identifiers, and the arguments of each function."""
+
     functions: frozenset[str] = frozenset()
     arguments: frozenset[str] = frozenset()
     associations: Mapping[str, frozenset[str]] = field(default_factory=dict)
@@ -25,14 +27,15 @@ class ApiSpec:
         object.__setattr__(self, "arguments", frozenset(self.arguments))
         assoc = {f: frozenset(a) for f, a in dict(self.associations).items()}
         object.__setattr__(self, "associations", assoc)
+        not_idents = non_identifiers([*self.functions, *self.arguments])
+        if not_idents:
+            raise SpecFormatError(f"names are not identifiers: {', '.join(not_idents)}")
         for f, args in assoc.items():
             if f not in self.functions:
                 raise SpecFormatError(f"association key {f!r} not in functions")
-            unknown = args - self.arguments
-            if unknown:
-                raise SpecFormatError(
-                    f"association {f!r} references unknown arguments {sorted(unknown)}"
-                )
+            if not args <= self.arguments:
+                raise SpecFormatError(f"association {f!r} references unknown arguments "
+                                      f"{sorted(args - self.arguments)}")
 
     def args_for(self, function: str) -> frozenset[str]:
         """Valid argument names for ``function``; empty set if unknown."""
@@ -95,12 +98,10 @@ def load_spec(path: str | Path) -> ApiSpec:
         for item in doc[key]:
             if not isinstance(item, str):
                 raise SpecFormatError(f"{path}: {key} entries must be strings")
-    assoc: dict[str, frozenset[str]] = {}
     for f, args in doc["associations"].items():
         if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
             raise SpecFormatError(f"{path}: associations[{f!r}] must be a string array")
-        assoc[f] = frozenset(args)
     try:
-        return ApiSpec(frozenset(doc["functions"]), frozenset(doc["arguments"]), assoc)
+        return ApiSpec(doc["functions"], doc["arguments"], doc["associations"])
     except SpecFormatError as e:
         raise SpecFormatError(f"{path}: {e}") from e

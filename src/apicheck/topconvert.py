@@ -15,17 +15,16 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .expr import (
-    IDENT_CHARS,
-    IDENT_START,
     ApiCall,
     ArgPair,
     Nested,
     ParseError,
     StringLit,
     flatten,
+    is_identifier,
     parse,
     serialize,
 )
@@ -56,14 +55,6 @@ class TopConvertError(ValueError):
     """TOP tree that cannot be converted to an API call."""
 
 
-def _valid_label(label: str) -> bool:
-    return (
-        bool(label)
-        and label[0] in IDENT_START
-        and all(c in IDENT_CHARS for c in label)
-    )
-
-
 def parse_top(text: str) -> TopNode:
     """Parse a bracketed TOP string into a tree."""
     pos = 0
@@ -88,7 +79,7 @@ def parse_top(text: str) -> TopNode:
             while end < n and not text[end].isspace() and text[end] not in "[]":
                 end += 1
             label = text[start:end]
-            if not _valid_label(label):
+            if not is_identifier(label):
                 raise TopFormatError(f"bad label {label!r}", start)
             parent_kind = stack[-1][0]
             if kind is TopKind.INTENT and parent_kind is TopKind.INTENT:
@@ -155,7 +146,7 @@ class Example:
 
 
 class ExampleFormatError(ValueError):
-    """Malformed example record file."""
+    """Malformed line-delimited JSON record file."""
 
 
 def _example_labels(example: Example) -> set[str]:
@@ -192,9 +183,8 @@ def spis_sample(examples: list[Example], n: int, seed: int) -> list[Example]:
     return [examples[i] for i in range(len(examples)) if i in kept]
 
 
-def load_examples(path: str | Path, require_api_call: bool = False) -> list[Example]:
-    """Read line-delimited example records; validates api_call parses."""
-    out: list[Example] = []
+def iter_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, record)`` for each non-blank line of a JSON-object-per-line file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -206,27 +196,28 @@ def load_examples(path: str | Path, require_api_call: bool = False) -> list[Exam
                 raise ExampleFormatError(f"{path}:{lineno}: invalid JSON: {e.msg}") from e
             if not isinstance(rec, dict):
                 raise ExampleFormatError(f"{path}:{lineno}: record must be an object")
-            for key in ("id", "domain", "utterance"):
-                if not isinstance(rec.get(key), str):
-                    raise ExampleFormatError(f"{path}:{lineno}: missing string field {key!r}")
-            api_call = rec.get("api_call")
-            top_parse = rec.get("top_parse")
-            if api_call is None and top_parse is None:
-                raise ExampleFormatError(
-                    f"{path}:{lineno}: record needs api_call or top_parse"
-                )
-            if require_api_call and api_call is None:
-                raise ExampleFormatError(f"{path}:{lineno}: record lacks api_call")
-            if api_call is not None:
-                try:
-                    parse(api_call)
-                except ParseError as e:
-                    raise ExampleFormatError(
-                        f"{path}:{lineno}: api_call does not parse ({e})"
-                    ) from e
-            out.append(
-                Example(rec["id"], rec["domain"], rec["utterance"], api_call, top_parse)
-            )
+            yield lineno, rec
+
+
+def load_examples(path: str | Path, require_api_call: bool = False) -> list[Example]:
+    """Read line-delimited example records; validates api_call parses."""
+    out: list[Example] = []
+    for lineno, rec in iter_records(path):
+        for key in ("id", "domain", "utterance"):
+            if not isinstance(rec.get(key), str):
+                raise ExampleFormatError(f"{path}:{lineno}: missing string field {key!r}")
+        api_call = rec.get("api_call")
+        top_parse = rec.get("top_parse")
+        if api_call is None and top_parse is None:
+            raise ExampleFormatError(f"{path}:{lineno}: record needs api_call or top_parse")
+        if require_api_call and api_call is None:
+            raise ExampleFormatError(f"{path}:{lineno}: record lacks api_call")
+        if api_call is not None:
+            try:
+                parse(api_call)
+            except ParseError as e:
+                raise ExampleFormatError(f"{path}:{lineno}: api_call does not parse ({e})") from e
+        out.append(Example(rec["id"], rec["domain"], rec["utterance"], api_call, top_parse))
     return out
 
 

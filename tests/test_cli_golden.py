@@ -149,7 +149,10 @@ def test_out_file_matches_golden(command, tmp_path, capsys):
 
 def _write_error_inputs(tmp):
     save_spec(SPEC, tmp / "spec.json")
-    save_spec(ApiSpec(frozenset({"get"})), tmp / "lowercase_spec.json")
+    (tmp / "lowercase_spec.json").write_text(
+        '{"functions": ["get"], "arguments": [], "associations": {}}\n', encoding="utf-8")
+    (tmp / "lowercase_preds.txt").write_text("get ( )\n", encoding="utf-8")
+    _jsonl(tmp / "lowercase_pairs.jsonl", [{"gold": "get ( )", "predicted": "get ( )"}])
     (tmp / "bad_spec.json").write_text('{"functions": []', encoding="utf-8")
     vocab = genutil.char_vocab(SPEC)
     save_vocab(vocab, tmp / "vocab.tsv")
@@ -182,6 +185,7 @@ _POOL = ["--pool", "{tmp}/ex.jsonl"]
 # (id, argv, the one stderr line of an exit-1 run); "{tmp}" stands for the test's
 # tmp directory. Any change to a line is a change to the CLI's error text.
 _NO_FILE = "[Errno 2] No such file or directory: "
+_NOT_IDENT = "{tmp}/lowercase_spec.json: names are not identifiers: get"
 ERROR_ROWS = [
     ("parse-bad-expression", ["parse", "F ("],
      "UnbalancedParen at offset 3: unclosed call"),
@@ -203,7 +207,13 @@ ERROR_ROWS = [
      "names unspellable under vocab: CATEGORY_LOCATION"),
     ("name-not-identifier",
      ["mask", "--spec", "{tmp}/lowercase_spec.json", "--vocab", "{tmp}/vocab.tsv"],
-     "names are not identifiers: get"),
+     _NOT_IDENT),
+    ("check-name-not-identifier",
+     ["check", "--spec", "{tmp}/lowercase_spec.json", "{tmp}/lowercase_preds.txt"],
+     _NOT_IDENT),
+    ("eval-name-not-identifier",
+     ["eval", "--spec", "{tmp}/lowercase_spec.json", "--pairs", "{tmp}/lowercase_pairs.jsonl"],
+     _NOT_IDENT),
     ("missing-pairs", ["eval", *_SPEC, "--pairs", "{tmp}/nope.jsonl"],
      _NO_FILE + "'{tmp}/nope.jsonl'"),
     ("no-pairs", ["eval", *_SPEC, "--pairs", "{tmp}/blank.txt"],

@@ -10,7 +10,6 @@ from apicheck.constraints import check
 from apicheck.decode import (
     _ESCAPES,
     _next_chars,
-    DecodeError,
     DecodeSession,
     DecodeState,
     DisallowedTokenError,
@@ -30,7 +29,7 @@ from apicheck.decode import (
     save_vocab,
 )
 from apicheck.expr import parse
-from apicheck.spec import ApiSpec, derive_from_corpus
+from apicheck.spec import ApiSpec, SpecFormatError, derive_from_corpus
 
 import genutil
 
@@ -205,13 +204,17 @@ def test_next_chars_table():
 @pytest.mark.parametrize("vocab_texts", [None, ["G", "E", "T"]])
 def test_new_session_rejects_names_that_are_not_identifiers(vocab_texts):
     # Emitted names must parse back: "get ( )" is no call, and a name holding
-    # " " would read as complete in the prefix table.
-    spec = ApiSpec(frozenset({"get", "GET"}), frozenset({"TWO WORDS", "A-B", "1A", "OK"}),
-                   {"get": frozenset({"TWO WORDS"}), "GET": frozenset({"OK", "A-B", "1A"})})
-    vocab = genutil.char_vocab(spec) if vocab_texts is None else Vocab.from_texts(vocab_texts)
-    with pytest.raises(DecodeError) as err:  # checked before spellability
-        new_session(spec, vocab)
-    assert not isinstance(err.value, UnspellableNameError)
+    # " " would read as complete in the prefix table. ApiSpec refuses such
+    # names, so no session is built over them, whether the vocabulary can
+    # spell them or not.
+    functions, arguments = {"get", "GET"}, {"TWO WORDS", "A-B", "1A", "OK"}
+    if vocab_texts is None:
+        vocab_texts = sorted(set("".join(functions | arguments)) | set(genutil.STRUCTURAL_CHARS))
+    vocab = Vocab.from_texts(vocab_texts)
+    with pytest.raises(SpecFormatError) as err:
+        new_session(ApiSpec(frozenset(functions), frozenset(arguments),
+                            {"get": frozenset({"TWO WORDS"}), "GET": frozenset({"OK", "A-B", "1A"})}),
+                    vocab)
     assert str(err.value) == "names are not identifiers: 1A, A-B, TWO WORDS, get"
 
 

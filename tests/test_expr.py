@@ -1,7 +1,9 @@
 import gc
+import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+import hypothesis.strategies as st
 
 from apicheck.expr import (
     ApiCall,
@@ -14,6 +16,8 @@ from apicheck.expr import (
     ParseErrorKind,
     StringLit,
     flatten,
+    is_identifier,
+    non_identifiers,
     parse,
     serialize,
 )
@@ -83,6 +87,25 @@ def test_parse_errors(text, kind):
         parse(text)
     assert err.value.kind == kind
     assert 0 <= err.value.offset <= len(text)
+
+
+_IDENT_START = set(string.ascii_uppercase + "_")
+_IDENT_CHARS = _IDENT_START | set(string.digits)
+
+
+@given(st.lists(st.text(alphabet="AZaz_09 -(\t\nÄßǅ", max_size=5), max_size=5))
+@example([])
+@example(["GET", "A_1", "_"])
+@example(["GET", ""])
+@example(["A\nB"])
+@example(["get", "1A", "A-B", "TWO WORDS", "get"])
+def test_identifier_rule_matches_reference(names):
+    # The reference steps each character through the grammar's character sets.
+    def reference(name):
+        return name[:1] in _IDENT_START and _IDENT_CHARS.issuperset(name)
+
+    assert [is_identifier(n) for n in names] == [reference(n) for n in names]
+    assert non_identifiers(names) == sorted({n for n in names if not reference(n)})
 
 
 def test_string_escapes_round_trip():

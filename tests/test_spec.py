@@ -45,6 +45,15 @@ def test_invalid_association_value():
         ApiSpec(frozenset({"F"}), frozenset({"A"}), {"F": {"B"}})
 
 
+def test_rejects_names_that_are_not_identifiers():
+    # Names must parse back: "get ( )" is no call, and the decoder's prefix
+    # table ends a name at " ".
+    with pytest.raises(SpecFormatError) as err:
+        ApiSpec(frozenset({"get", "GET"}), frozenset({"TWO WORDS", "A-B", "1A", "OK"}),
+                {"get": frozenset({"TWO WORDS"}), "GET": frozenset({"OK", "A-B", "1A"})})
+    assert str(err.value) == "names are not identifiers: 1A, A-B, TWO WORDS, get"
+
+
 def test_save_load_round_trip(tmp_path):
     spec = derive_from_corpus([FIG1])
     path = tmp_path / "spec.json"
@@ -71,6 +80,8 @@ def test_load_empty_spec(tmp_path):
         '{"functions": [], "arguments": [], "associations": {"F": ["A"]}}',
         '{"functions": [1], "arguments": [], "associations": {}}',
         '{"functions": ["F"], "arguments": [], "associations": {"F": "A"}}',
+        '{"functions": ["get"], "arguments": ["when"], "associations": {"get": ["when"]}}',
+        '{"functions": [""], "arguments": [], "associations": {}}',
     ],
 )
 def test_load_malformed(tmp_path, doc):

@@ -19,8 +19,13 @@ texts sorted, so tokens sharing a prefix sit in one contiguous range: the mask
 walks that implicit trie, feeds each distinct next character to the automaton
 once, and skips a whole range at its first dead character. Inside a string, a
 token without a quote or backslash is allowed exactly when it fits the
-remaining length, so those tokens are answered from buckets by length and only
-the few tokens holding ``"`` or ``\\`` are stepped.
+remaining length. So when the room left fits the longest such token, a step
+returns a view over the session's one shared set of them instead of a copy.
+Every other token is split at its first ``"`` or ``\\`` into a plain prefix
+and a tail: it survives when the prefix fits and its tail survives from the
+config the prefix leaves, so only the tails are stepped, once per distinct
+``(prefix length, tail)``. The trie walk hands a range that enters a string to
+the same rule, and so never recurses through string content.
 
 ``iter_steps`` is the one decode loop: ``mock_decode``, ``overhead_report`` and
 the CLI's ``mask`` step through it with their own choosers.
@@ -30,11 +35,12 @@ from __future__ import annotations
 
 import enum
 import random
+import re
 import time
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Set
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -42,6 +48,7 @@ from .spec import ApiSpec
 
 _QUOTE = '"'
 _BACKSLASH = "\\"
+_CONTENT_STOP = re.compile(r'["\\]')
 
 
 class DecodeError(ValueError):
@@ -197,6 +204,39 @@ def _spellable(name: str, texts: set[str]) -> bool:
     return n > 0 and reached[n]
 
 
+def _split_plain(text: str) -> tuple[int, str]:
+    """``text`` as the length of its plain prefix, the characters before the
+    first ``"`` or ``\\``, and the rest, empty when there is no such character."""
+    stop = _CONTENT_STOP.search(text)
+    k = stop.start() if stop else len(text)
+    return k, text[k:]
+
+
+class _StringMask(Set):
+    """An InString allowed set: the session's shared plain ids plus the quoted
+    ids that survive. The two frozensets are disjoint, so the view answers
+    ``in``, ``len`` and iteration without a copy; set operators return sets."""
+
+    __slots__ = ("_base", "_extra")
+
+    def __init__(self, base: frozenset[int], extra: frozenset[int]):
+        self._base = base
+        self._extra = extra
+
+    def __contains__(self, tid) -> bool:
+        return tid in self._base or tid in self._extra
+
+    def __len__(self) -> int:
+        return len(self._base) + len(self._extra)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain(self._base, self._extra)
+
+    @classmethod
+    def _from_iterable(cls, it) -> set[int]:
+        return set(it)
+
+
 def _next_chars(names: frozenset[str]) -> dict[str, str]:
     """Each prefix of ``names``, ``""`` included, to the sorted characters that
     may follow it; a whole name is followed by ``" "``."""
@@ -247,19 +287,19 @@ class DecodeSession:
         self._ids = [tid for tid, _ in spendable]
         self._texts = [text for _, text in spendable]
         # String content: plain_by_len[n] holds the ids of the length-n texts
-        # with no quote or backslash, _plain all of them (copying one set is
-        # about 3x faster than filling one from the buckets); _quoted holds
-        # every other token.
+        # with no quote or backslash, and _plain all of them, shared by every
+        # string step. _quoted groups every other token by _split_plain(text).
         self._plain_by_len: list[list[int]] = [[]]
-        self._quoted: list[tuple[int, str]] = []
+        quoted: dict[tuple[int, str], list[int]] = {}
         for tid, text in spendable:
             if _QUOTE in text or _BACKSLASH in text:
-                self._quoted.append((tid, text))
+                quoted.setdefault(_split_plain(text), []).append(tid)
                 continue
             while len(self._plain_by_len) <= len(text):
                 self._plain_by_len.append([])
             self._plain_by_len[len(text)].append(tid)
         self._plain = frozenset(tid for bucket in self._plain_by_len for tid in bucket)
+        self._quoted = [(k, tail, ids) for (k, tail), ids in quoted.items()]
 
     # -- character automaton ------------------------------------------------
 
@@ -343,7 +383,8 @@ class DecodeSession:
         Every text in the range shares its first ``depth`` characters, which
         have already taken the automaton to ``cfg``. The texts that go on with
         one character form one sub-range, found by bisection; the character is
-        stepped once, and if it dies the whole sub-range is dropped.
+        stepped once, and if it dies the whole sub-range is dropped. A
+        sub-range that enters a string goes to ``_walk_string``.
         """
         texts = self._texts
         while lo < hi and len(texts[lo]) == depth:
@@ -358,24 +399,48 @@ class DecodeSession:
                 end = bisect_left(texts, text[:depth] + chr(ord(ch) + 1), lo, hi)
             nxt = self._step_char(cfg, ch)
             if nxt is not None:
-                self._walk(nxt, lo, end, depth + 1, out)
+                walk = self._walk_string if nxt[0] is _M_STRING else self._walk
+                walk(nxt, lo, end, depth + 1, out)
             lo = end
 
-    def _string_mask(self, cfg) -> set[int]:
-        """The mask inside a string: plain tokens by the room left, the rest stepped."""
+    def _walk_string(self, cfg, lo: int, hi: int, depth: int, out: list[int]) -> None:
+        """Append the ids in ``[lo, hi)`` whose text from ``depth`` on survives
+        from the InString ``cfg``, by the string rule of ``_survives_in_string``."""
+        for i in range(lo, hi):
+            k, tail = _split_plain(self._texts[i][depth:])
+            if self._survives_in_string(cfg, k, tail):
+                out.append(self._ids[i])
+
+    def _survives_in_string(self, cfg, k: int, tail: str) -> bool:
+        """Whether ``k`` plain characters, then ``tail``, survive from the
+        InString ``cfg``. ``tail`` is empty or starts with ``"`` or ``\\``.
+
+        The plain characters fit when the room left holds them and no escape
+        is pending; only ``tail`` is stepped, from the config they leave.
+        """
+        if k:
+            if cfg[6] or cfg[5] + k > self.max_string_len:
+                return False
+            cfg = (_M_STRING, cfg[1], "", "", False, cfg[5] + k, False)
+        return self.step_text(cfg, tail) is not None
+
+    def _string_mask(self, cfg) -> Set[int]:
+        """The mask inside a string: the plain tokens that fit the room left,
+        and the quoted tokens whose tail survives, stepped once per group.
+
+        When the room fits the longest plain token, this is a ``_StringMask``
+        view over the shared ``_plain`` set; otherwise a frozenset.
+        """
+        survivors: list[int] = []
+        for k, tail, ids in self._quoted:
+            if self._survives_in_string(cfg, k, tail):
+                survivors += ids
         room = self.max_string_len - cfg[5]
         if cfg[6]:  # an escape is pending: only '"' or '\\' may follow
-            allowed: set[int] = set()
-        elif room >= len(self._plain_by_len) - 1:
-            allowed = set(self._plain)
-        else:
-            allowed = set()
-            for bucket in self._plain_by_len[1 : room + 1]:
-                allowed.update(bucket)
-        for tid, text in self._quoted:
-            if self.step_text(cfg, text) is not None:
-                allowed.add(tid)
-        return allowed
+            return frozenset(survivors)
+        if room >= len(self._plain_by_len) - 1:
+            return _StringMask(self._plain, frozenset(survivors))
+        return frozenset(survivors).union(*self._plain_by_len[1 : room + 1])
 
 
 @dataclass(frozen=True)
@@ -408,17 +473,21 @@ def new_session(
     return DecodeState(session)
 
 
-def allowed_tokens(state: DecodeState) -> set[int]:
-    """Exact allowed-token set: tokens whose text keeps a valid completion live."""
+def allowed_tokens(state: DecodeState) -> Set[int]:
+    """Exact allowed-token set: tokens whose text keeps a valid completion live.
+
+    The set is immutable: a frozenset, or inside a string a view that shares
+    the session's plain-token set (see ``DecodeSession._string_mask``).
+    """
     session = state.session
     if state.is_complete:
-        return {session.vocab.eos_id}
+        return frozenset((session.vocab.eos_id,))
     cfg = state.config
     if cfg[0] is _M_STRING:
         return session._string_mask(cfg)
     out: list[int] = []
     session._walk(cfg, 0, len(session._texts), 0, out)
-    return set(out)
+    return frozenset(out)
 
 
 def advance(state: DecodeState, token_id: int) -> DecodeState:

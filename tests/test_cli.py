@@ -205,6 +205,26 @@ def test_mask_command_trace(toy_files, capsys):
         assert values == sorted(values)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mask_command_long_string_token(seed, tmp_path, capsys):
+    # A token that opens a string and holds more characters than the
+    # recursion limit; each seed reaches a value, where the mask allows it.
+    spec = ApiSpec(frozenset({"GET_ALARM"}), frozenset({"DATE_TIME"}),
+                   {"GET_ALARM": frozenset({"DATE_TIME"})})
+    save_spec(spec, tmp_path / "spec.json")
+    long = '"' + "a" * 1500
+    texts = [t for _, t in genutil.char_vocab(spec).tokens if t] + [long]
+    save_vocab(Vocab.from_texts(texts), tmp_path / "vocab.tsv")
+    args = [
+        "mask", "--spec", str(tmp_path / "spec.json"), "--vocab", str(tmp_path / "vocab.tsv"),
+        "--max-string-len", "5000", "--state-trace", "--seed", str(seed),
+    ]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    long_id = str(texts.index(long))
+    assert any(long_id in line.partition("\t")[2].split(",") for line in lines)
+
+
 def test_overhead_command(toy_files, capsys):
     spec_path, vocab_path, _examples, _tmp = toy_files
     assert main(["overhead", "--spec", str(spec_path), "--vocab", str(vocab_path),

@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -374,9 +376,14 @@ def scan_oracle(state):
 
 # Quotes and backslashes at the start, middle and end; non-ASCII text, including
 # the last code point, after which the walk has no next character to bisect
-# for, and the one before the surrogates.
+# for, and the one before the surrogates; plain prefixes of 1-4 characters
+# before a quote, an escaped quote, an escaped backslash or two quotes, so the
+# string rule is split at every room boundary; and texts that open a string
+# and go on in it, which the walk hands to the same rule.
 EDGE_TEXTS = ['a"', '"a', 'a"b', '\\"', '"\\', "a\\", "\\\\", 'b"\\c', '" )', "\u00e9", "\u00e9a",
-              "\u65e5\u672c", "\U0010ffff", '"\U0010ffff', "a\U0010ffff", "\U0010ffffa", "\ud7ff"]
+              "\u65e5\u672c", "\U0010ffff", '"\U0010ffff', "a\U0010ffff", "\U0010ffffa", "\ud7ff",
+              'abc"', 'a\\"', 'ab\\\\"', 'abcd\\\\', 'a"b"', 'ab""', 'xy = "', 'abcd"',
+              '"ab"', '"abc\\"', '"a\\\\']
 
 
 def _odd_vocab(spec, rng, style):
@@ -463,6 +470,103 @@ def test_mask_steps_few_characters_of_a_large_vocab(monkeypatch):
         allowed = allowed_tokens(state)
         assert len(stepped) < 0.05 * total_chars, (mode, len(stepped), total_chars)
         assert allowed == scan_oracle(state)
+
+
+def _in_string(session, str_len=0, esc=False):
+    stack = (min(session.spec.functions),)
+    return DecodeState(session, (Mode.IN_STRING, stack, "", "", False, str_len, esc))
+
+
+def _quoted_groups(texts):
+    """Each text holding '"' or '\\' as (plain prefix length, tail), deduplicated."""
+    groups = set()
+    for text in texts:
+        stops = [i for i, ch in enumerate(text) if ch in '"\\']
+        if stops:
+            groups.add((stops[0], text[stops[0]:]))
+    return groups
+
+
+def test_string_step_steps_each_quoted_tail_once(monkeypatch):
+    # A count and an allocation, not a time: a string step that steps every
+    # quoted token, or copies the plain-token set, scales with V.
+    rng = random.Random(9)
+    spec = GET_ALARMS_SPEC
+    texts = {t for _, t in genutil.char_vocab(spec).tokens if t} | {'" )', '" , ', ' = "'}
+    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+    while len(texts) < 400:
+        name = "".join(rng.choice(letters) for _ in range(rng.randint(2, 6)))
+        texts.add(name + ' = "')
+    while len(texts) < 8000:
+        texts.add("".join(rng.choice("abcdefghijklmnopqrstuvwxyz ") for _ in range(rng.randint(2, 8))))
+    vocab = Vocab.from_texts(sorted(texts))
+    state = _in_string(new_session(spec, vocab).session)
+    groups = _quoted_groups(texts)
+    assert len(groups) < 20 < 300 < sum('"' in t for t in texts)
+    stepped = []
+    step_char = DecodeSession._step_char
+    with monkeypatch.context() as patch:
+        patch.setattr(DecodeSession, "_step_char",
+                      lambda self, cfg, ch: stepped.append(ch) or step_char(self, cfg, ch))
+        allowed_tokens(state)
+    assert len(stepped) <= sum(len(tail) for _k, tail in groups), len(stepped)
+    tracemalloc.start()
+    try:
+        allowed = allowed_tokens(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.getsizeof(set(range(len(texts)))) / 4, peak
+    assert allowed == scan_oracle(state)
+
+
+def test_string_mask_is_a_set_view():
+    spec = GET_ALARMS_SPEC
+    texts = [t for _, t in genutil.char_vocab(spec).tokens if t] + ['ab"', 'ME = "', '" )', "abc"]
+    vocab = Vocab.from_texts(texts)
+    session = new_session(spec, vocab).session
+    view = allowed_tokens(_in_string(session))
+    expected = scan_oracle(_in_string(session))
+    assert not isinstance(view, (set, frozenset))
+    assert view._base is session._plain  # shared, not copied
+    assert view._base.isdisjoint(view._extra)
+    assert view._extra
+    assert view == expected and expected == view
+    assert view == frozenset(expected) and view != expected - {min(expected)}
+    assert len(view) == len(expected)
+    assert all(tid in view for tid in expected) and vocab.eos_id not in view
+    assert sorted(view) == sorted(expected)  # each id once
+    some = {min(expected), vocab.eos_id}
+    for got, want in [
+        (view | some, expected | some), (some | view, expected | some),
+        (view & some, expected & some), (some & view, expected & some),
+        (view - some, expected - some), (some - view, some - expected),
+    ]:
+        assert type(got) is set and got == want
+    # Short of the room for "abc" (or with an escape pending) the mask is a frozenset.
+    short = max(len(t) for t in texts if '"' not in t and "\\" not in t) - 1
+    for str_len, esc in [(session.max_string_len - short, False), (0, True)]:
+        state = _in_string(session, str_len, esc)
+        assert type(allowed_tokens(state)) is frozenset
+        assert allowed_tokens(state) == scan_oracle(state)
+
+
+@pytest.mark.parametrize("max_string_len", [1499, 1500, 5000])
+def test_walk_does_not_recurse_through_string_content(max_string_len):
+    # A token that opens a string and holds more characters than the recursion
+    # limit: the walk must not recurse through string content.
+    spec = ApiSpec(frozenset({"GET_ALARM"}), frozenset({"DATE_TIME"}),
+                   {"GET_ALARM": frozenset({"DATE_TIME"})})
+    long = '"' + "a" * 1500
+    vocab = Vocab.from_texts([t for _, t in genutil.char_vocab(spec).tokens if t] + [long])
+    by_text = {t: i for i, t in vocab.tokens}
+    state = new_session(spec, vocab, max_string_len)
+    for ch in "GET_ALARM ( DATE_TIME = ":
+        state = advance(state, by_text[ch])
+    assert state.mode is Mode.EXPECT_VALUE
+    allowed = allowed_tokens(state)
+    assert allowed == scan_oracle(state)
+    assert (by_text[long] in allowed) == (max_string_len >= 1500)
 
 
 # -- mock decoding -----------------------------------------------------------

@@ -17,8 +17,8 @@ from .decode import (
     new_session,
     overhead_report,
 )
-from .expr import ApiCall, ArgPair, FlatCall, Nested, ParseError, StringLit, flatten, parse, serialize
-from .metrics import EvalPair, evaluate, exact_match, intent_f1, slot_f1
+from .expr import ApiCall, FlatCall, ParseError, flatten, parse, serialize
+from .metrics import EvalPair, evaluate
 from .retrieval import (
     DemoIndex,
     HashedBowEmbedder,
@@ -33,7 +33,6 @@ from .topconvert import Example, parse_top, spis_sample, to_api_call
 __all__ = [
     "ApiCall",
     "ApiSpec",
-    "ArgPair",
     "ConstraintSignature",
     "DecodeState",
     "DemoIndex",
@@ -41,10 +40,8 @@ __all__ = [
     "Example",
     "FlatCall",
     "HashedBowEmbedder",
-    "Nested",
     "ParseError",
     "PrecomputedEmbedder",
-    "StringLit",
     "ViolationRates",
     "ViolationReport",
     "Vocab",
@@ -56,9 +53,7 @@ __all__ = [
     "check_call",
     "derive_from_corpus",
     "evaluate",
-    "exact_match",
     "flatten",
-    "intent_f1",
     "load_spec",
     "mock_decode",
     "new_session",
@@ -68,7 +63,6 @@ __all__ = [
     "retrieve",
     "save_spec",
     "serialize",
-    "slot_f1",
     "spis_sample",
     "to_api_call",
     "violation_rates",

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import constraints, decode, metrics, retrieval, spec as apispec, topconvert
-from .expr import ApiCall, Grounded, ParseError, flatten, parse, serialize
+from .expr import ApiCall, ParseError, flatten, parse, serialize
 
 DEFAULT_SEED = 17
 DEFAULT_DESCRIPTION = (
@@ -33,10 +33,8 @@ def _cmd_flatten(args) -> int:
     for flat in flatten(parse(args.expression)):
         rec = {"index": flat.index, "function": flat.function, "args": []}
         for name, value in flat.args:
-            if isinstance(value, Grounded):
-                rec["args"].append({"name": name, "text": value.text})
-            else:
-                rec["args"].append({"name": name, "child": value.child_index})
+            key = "text" if isinstance(value, str) else "child"
+            rec["args"].append({"name": name, key: value})
         print(json.dumps(rec, sort_keys=True))
     return 0
 

@@ -49,6 +49,9 @@ from .spec import ApiSpec
 _QUOTE = '"'
 _BACKSLASH = "\\"
 _CONTENT_STOP = re.compile(r'["\\]')
+# The trie walk recurses once per character; a range deeper than this, far
+# longer than any real token, is stepped text by text instead.
+_WALK_DEPTH = 256
 
 
 class DecodeError(ValueError):
@@ -384,9 +387,16 @@ class DecodeSession:
         have already taken the automaton to ``cfg``. The texts that go on with
         one character form one sub-range, found by bisection; the character is
         stepped once, and if it dies the whole sub-range is dropped. A
-        sub-range that enters a string goes to ``_walk_string``.
+        sub-range that enters a string goes to ``_walk_string``. Past
+        ``_WALK_DEPTH`` characters each text is stepped on its own, so the
+        recursion stays bounded.
         """
         texts = self._texts
+        if depth > _WALK_DEPTH:
+            for i in range(lo, hi):
+                if self.step_text(cfg, texts[i][depth:]) is not None:
+                    out.append(self._ids[i])
+            return
         while lo < hi and len(texts[lo]) == depth:
             out.append(self._ids[lo])
             lo += 1

@@ -9,6 +9,9 @@ Grammar:
 
 Whitespace between tokens is ignored on parse. The canonical serialized
 form uses single spaces between all tokens, e.g. ``F ( A = "v" , B = G ( ) )``.
+
+An argument is a ``(name, value)`` pair, and a value is a ``str`` or an
+``ApiCall``. In the flat form a value is a ``str`` or the index of a child call.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import enum
 import re
 from collections.abc import Collection
 from dataclasses import dataclass
-from typing import Union
 
 # The one IDENT rule: the parser, is_identifier and non_identifiers use it.
 _IDENT = re.compile(r"[A-Z_][A-Z0-9_]*")
@@ -68,48 +70,16 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class StringLit:
-    text: str
-
-
-@dataclass(frozen=True)
-class Nested:
-    call: "ApiCall"
-
-
-Value = Union[StringLit, Nested]
-
-
-@dataclass(frozen=True)
-class ArgPair:
-    name: str
-    value: Value
-
-
-@dataclass(frozen=True)
 class ApiCall:
     function: str
-    args: tuple[ArgPair, ...] = ()
-
-
-@dataclass(frozen=True)
-class Grounded:
-    text: str
-
-
-@dataclass(frozen=True)
-class ChildRef:
-    child_index: int
-
-
-FlatValue = Union[Grounded, ChildRef]
+    args: tuple[tuple[str, str | ApiCall], ...] = ()
 
 
 @dataclass(frozen=True)
 class FlatCall:
     index: int
     function: str
-    args: tuple[tuple[str, FlatValue], ...]
+    args: tuple[tuple[str, str | int], ...]
 
 
 class _Parser:
@@ -153,7 +123,7 @@ class _Parser:
             self._fail(ParseErrorKind.UNEXPECTED_TOKEN, "expected '('")
         self.pos += 1
         self._skip_ws()
-        args: list[ArgPair] = []
+        args: list[tuple[str, str | ApiCall]] = []
         if self._peek() == ")":
             self.pos += 1
             return ApiCall(name, ())
@@ -174,7 +144,7 @@ class _Parser:
             else:
                 self._fail(ParseErrorKind.UNEXPECTED_TOKEN, "expected ',' or ')'")
 
-    def _parse_arg(self) -> ArgPair:
+    def _parse_arg(self) -> tuple[str, str | ApiCall]:
         name = self._parse_ident()
         self._skip_ws()
         if self._peek() != "=":
@@ -183,9 +153,9 @@ class _Parser:
         self._skip_ws()
         c = self._peek()
         if c == '"':
-            return ArgPair(name, StringLit(self._parse_string()))
+            return name, self._parse_string()
         if _IDENT.match(self.text, self.pos):
-            return ArgPair(name, Nested(self._parse_call()))
+            return name, self._parse_call()
         self._fail(ParseErrorKind.UNEXPECTED_TOKEN, "expected string or nested call")
         raise AssertionError("unreachable")
 
@@ -223,15 +193,15 @@ def escape_string(text: str) -> str:
 def _tokens(call: ApiCall, out: list[str]) -> None:
     out.append(call.function)
     out.append("(")
-    for i, arg in enumerate(call.args):
+    for i, (name, value) in enumerate(call.args):
         if i:
             out.append(",")
-        out.append(arg.name)
+        out.append(name)
         out.append("=")
-        if isinstance(arg.value, StringLit):
-            out.append('"' + escape_string(arg.value.text) + '"')
+        if isinstance(value, str):
+            out.append('"' + escape_string(value) + '"')
         else:
-            _tokens(arg.value.call, out)
+            _tokens(value, out)
     out.append(")")
 
 
@@ -245,12 +215,10 @@ def serialize(call: ApiCall) -> str:
 def _flatten_into(call: ApiCall, out: list[FlatCall | None]) -> int:
     idx = len(out)
     out.append(None)
-    args: list[tuple[str, FlatValue]] = []
-    for arg in call.args:
-        if isinstance(arg.value, StringLit):
-            args.append((arg.name, Grounded(arg.value.text)))
-        else:
-            args.append((arg.name, ChildRef(_flatten_into(arg.value.call, out))))
+    args = [
+        (name, value if isinstance(value, str) else _flatten_into(value, out))
+        for name, value in call.args
+    ]
     out[idx] = FlatCall(idx, call.function, tuple(args))
     return idx
 

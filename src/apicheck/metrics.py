@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
-from .expr import ApiCall, Grounded, ParseError, flatten, parse
+from .expr import ApiCall, FlatCall, ParseError, flatten, parse
 
 
 @dataclass(frozen=True)
@@ -30,20 +29,16 @@ class MetricsReport:
     n: int
 
 
-def intent_multiset(call: ApiCall) -> Counter:
-    return Counter(flat.function for flat in flatten(call))
+def intent_multiset(flats: list[FlatCall]) -> Counter:
+    return Counter(flat.function for flat in flats)
 
 
-def slot_multiset(call: ApiCall) -> Counter:
-    flats = flatten(call)
-    slots: Counter = Counter()
-    for flat in flats:
-        for name, value in flat.args:
-            if isinstance(value, Grounded):
-                slots[(name, value.text)] += 1
-            else:
-                slots[(name, flats[value.child_index].function)] += 1
-    return slots
+def slot_multiset(flats: list[FlatCall]) -> Counter:
+    return Counter(
+        (name, value if isinstance(value, str) else flats[value].function)
+        for flat in flats
+        for name, value in flat.args
+    )
 
 
 def _try_parse(text: str) -> ApiCall | None:
@@ -53,16 +48,9 @@ def _try_parse(text: str) -> ApiCall | None:
         return None
 
 
-def _micro_f1(
-    calls: list[tuple[ApiCall, ApiCall | None]], multiset: Callable[[ApiCall], Counter]
-) -> float:
+def _micro_f1(multisets: list[tuple[Counter, Counter]]) -> float:
     tp = fp = fn = 0
-    for gold_call, pred_call in calls:
-        gold = multiset(gold_call)
-        if pred_call is None:
-            fn += sum(gold.values())
-            continue
-        pred = multiset(pred_call)
+    for gold, pred in multisets:
         overlap = sum((gold & pred).values())
         tp += overlap
         fp += sum(pred.values()) - overlap
@@ -87,25 +75,21 @@ def evaluate_calls(calls: list[tuple[ApiCall, ApiCall | None]]) -> MetricsReport
     makes the canonical form injective, so two calls are equal exactly when
     their canonical strings are.
     """
-    em = sum(pred == gold for gold, pred in calls) / len(calls) if calls else 0.0
+    if not calls:
+        raise ValueError("evaluation requires at least one pair")
+    # An unparseable prediction scores as an empty call list.
+    flats = [(flatten(gold), [] if pred is None else flatten(pred)) for gold, pred in calls]
     return MetricsReport(
-        em, _micro_f1(calls, intent_multiset), _micro_f1(calls, slot_multiset), len(calls)
+        sum(pred == gold for gold, pred in calls) / len(calls),
+        _micro_f1([(intent_multiset(g), intent_multiset(p)) for g, p in flats]),
+        _micro_f1([(slot_multiset(g), slot_multiset(p)) for g, p in flats]),
+        len(calls),
     )
 
 
 def evaluate(pairs: list[EvalPair]) -> MetricsReport:
-    """Parse each gold and each prediction once and score them; a bad gold raises ParseError."""
+    """Parse each gold and each prediction once and score them.
+
+    A bad gold raises ParseError, and an empty list raises ValueError.
+    """
     return evaluate_calls([(parse(p.gold), _try_parse(p.predicted)) for p in pairs])
-
-
-def exact_match(pairs: list[EvalPair]) -> float:
-    """Fraction of pairs whose prediction canonicalizes to the gold call."""
-    return evaluate(pairs).exact_match
-
-
-def intent_f1(pairs: list[EvalPair]) -> float:
-    return evaluate(pairs).intent_f1
-
-
-def slot_f1(pairs: list[EvalPair]) -> float:
-    return evaluate(pairs).slot_f1

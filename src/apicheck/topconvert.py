@@ -17,17 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .expr import (
-    ApiCall,
-    ArgPair,
-    Nested,
-    ParseError,
-    StringLit,
-    flatten,
-    is_identifier,
-    parse,
-    serialize,
-)
+from .expr import ApiCall, ParseError, flatten, is_identifier, parse, serialize
 
 
 class TopKind(enum.Enum):
@@ -119,7 +109,7 @@ def to_api_call(tree: TopNode) -> ApiCall:
     """Convert an intent-rooted TOP tree to an API call."""
     if tree.kind is not TopKind.INTENT:
         raise TopConvertError("root must be an intent")
-    args: list[ArgPair] = []
+    args: list[tuple[str, str | ApiCall]] = []
     for child in tree.children:
         if child.kind is TopKind.TOKEN:
             continue  # carrier words
@@ -130,9 +120,9 @@ def to_api_call(tree: TopNode) -> ApiCall:
                 f"slot {child.label!r} mixes intent and token children"
             )
         if intents:
-            args.append(ArgPair(child.label, Nested(to_api_call(intents[0]))))
+            args.append((child.label, to_api_call(intents[0])))
         else:
-            args.append(ArgPair(child.label, StringLit(" ".join(t.label for t in tokens))))
+            args.append((child.label, " ".join(t.label for t in tokens)))
     return ApiCall(tree.label, tuple(args))
 
 

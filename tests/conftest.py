@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from apicheck.expr import ApiCall, ArgPair, Nested, StringLit
+from apicheck.expr import ApiCall
 
 settings.register_profile("default", max_examples=50, deadline=None)
 settings.load_profile("default")
@@ -18,14 +18,9 @@ def _mk_call(function, args):
 
 
 values = st.recursive(
-    st.builds(StringLit, string_texts),
+    string_texts,
     lambda children: st.builds(
-        Nested,
-        st.builds(
-            _mk_call,
-            identifiers,
-            st.lists(st.builds(ArgPair, identifiers, children), max_size=6),
-        ),
+        _mk_call, identifiers, st.lists(st.tuples(identifiers, children), max_size=6)
     ),
     max_leaves=12,
 )
@@ -33,5 +28,5 @@ values = st.recursive(
 api_calls = st.builds(
     _mk_call,
     identifiers,
-    st.lists(st.builds(ArgPair, identifiers, values), max_size=6),
+    st.lists(st.tuples(identifiers, values), max_size=6),
 )

@@ -6,7 +6,7 @@ import random
 import string
 
 from apicheck.decode import Vocab
-from apicheck.expr import ApiCall, ArgPair, Nested, StringLit
+from apicheck.expr import ApiCall
 from apicheck.spec import ApiSpec, derive_from_corpus
 
 NAME_ALPHABET = string.ascii_uppercase + "_" + string.digits
@@ -52,10 +52,10 @@ def random_call(rng: random.Random, spec: ApiSpec, max_depth: int = 3) -> ApiCal
         if rng.random() < 0.6:
             continue
         if max_depth > 1 and rng.random() < 0.4:
-            args.append(ArgPair(name, Nested(random_call(rng, spec, max_depth - 1))))
+            args.append((name, random_call(rng, spec, max_depth - 1)))
         else:
             text = "".join(rng.choice(STRING_ALPHABET) for _ in range(rng.randint(0, 6)))
-            args.append(ArgPair(name, StringLit(text)))
+            args.append((name, text))
     return ApiCall(function, tuple(args))
 
 

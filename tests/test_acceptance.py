@@ -22,8 +22,8 @@ from apicheck.decode import (
     overhead_report,
     Vocab,
 )
-from apicheck.expr import ApiCall, ArgPair, Nested, StringLit, parse, serialize
-from apicheck.metrics import EvalPair, exact_match, intent_f1, slot_f1
+from apicheck.expr import ApiCall, parse, serialize
+from apicheck.metrics import EvalPair, evaluate
 from apicheck.retrieval import HashedBowEmbedder, build_index, build_prompt, retrieve_scored
 from apicheck.spec import ApiSpec, derive_from_corpus
 from apicheck.topconvert import Example, spis_sample
@@ -159,7 +159,7 @@ def _mutate_name(rng, call):
         if node.args:
             idx = rng.randrange(len(node.args))
             args = list(node.args)
-            args[idx] = ArgPair(genutil.random_identifier(rng, 6), args[idx].value)
+            args[idx] = (genutil.random_identifier(rng, 6), args[idx][1])
             return ApiCall(node.function, tuple(args))
         return ApiCall(genutil.random_identifier(rng, 6), node.args)
 
@@ -292,13 +292,11 @@ def test_soundness_no_dead_ends_and_completeness():
             arg_names = sorted(spec.args_for(fn))
             for r in range(len(arg_names) + 1):
                 for combo in itertools.permutations(arg_names, r):
-                    value_choices = [StringLit(""), StringLit("a")]
+                    value_choices = ["", "a"]
                     if depth > 1:
-                        value_choices += [Nested(c) for c in calls_of_depth(depth - 1)]
+                        value_choices += calls_of_depth(depth - 1)
                     for values in itertools.product(value_choices, repeat=len(combo)):
-                        out.append(
-                            ApiCall(fn, tuple(ArgPair(n, v) for n, v in zip(combo, values)))
-                        )
+                        out.append(ApiCall(fn, tuple(zip(combo, values))))
         return out
 
     by_text = {t: i for i, t in vocab.tokens}
@@ -438,12 +436,13 @@ def test_metrics_match_hand_counts():
         ),
     ]
     for pairs, want_em, intents, slots in batches:
-        assert abs(exact_match(pairs) - want_em) < 1e-9
-        assert abs(intent_f1(pairs) - _f1(*intents)) < 1e-9
-        assert abs(slot_f1(pairs) - _f1(*slots)) < 1e-9
-    perfect = [EvalPair('F ( A = "x" )', 'F(A="x")')]
-    assert exact_match(perfect) == 1.0
-    assert intent_f1(perfect) == 1.0 and slot_f1(perfect) == 1.0
+        report = evaluate(pairs)
+        assert abs(report.exact_match - want_em) < 1e-9
+        assert abs(report.intent_f1 - _f1(*intents)) < 1e-9
+        assert abs(report.slot_f1 - _f1(*slots)) < 1e-9
+    perfect = evaluate([EvalPair('F ( A = "x" )', 'F(A="x")')])
+    assert perfect.exact_match == 1.0
+    assert perfect.intent_f1 == 1.0 and perfect.slot_f1 == 1.0
     _ok("metrics match hand-counted TP/FP/FN on 5 batches")
 
 

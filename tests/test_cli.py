@@ -1,5 +1,6 @@
 import json
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +204,22 @@ def test_mask_command_trace(toy_files, capsys):
         assert int(step) == i
         values = [int(x) for x in ids.split(",") if x]
         assert values == sorted(values)
+
+
+@pytest.mark.parametrize("suffixes", [[""], ["", "x"]])
+def test_mask_command_long_nested_token(suffixes, tmp_path, capsys):
+    # Tokens of 200 nested openings, far more characters than the trie walk
+    # recurses through.
+    nested = "F ( A = " * 200
+    save_spec(ApiSpec(frozenset({"F"}), frozenset({"A"}), {"F": frozenset({"A"})}),
+              tmp_path / "spec.json")
+    texts = [c for c in string.printable if c.isprintable()] + [nested + s for s in suffixes]
+    save_vocab(Vocab.from_texts(texts), tmp_path / "vocab.tsv")
+    args = ["mask", "--spec", str(tmp_path / "spec.json"), "--vocab", str(tmp_path / "vocab.tsv"),
+            "--max-depth", "500"]
+    assert main(args) == 0
+    step, _, ids = capsys.readouterr().out.rstrip("\n").partition("\t")
+    assert step == "0" and str(texts.index(nested)) in ids.split(",")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -46,6 +46,11 @@ PREDICTIONS = [
     'GET_ALARMS ( DATE_TIME = "a \\"quoted\\" \\\\ value" )',
 ]
 
+# One whitespace-free expression: three nested levels, \" and \\ escapes, a
+# repeated argument name, an empty call and an empty string.
+EXPRESSION = ('GET_DIRECTIONS(DESTINATION=GET_LOCATION(LOCATION=GET_PLACE('
+              'NAME="the \\"big\\" \\\\ one",NEAR=GET_HOME())),PATH="1st ave",PATH="")')
+
 PAIRS = [
     {"gold": "GET_ALARMS ( )", "predicted": "GET_ALARMS()", "utterance": "show my alarms"},
     {"gold": 'GET_ALARMS ( DATE_TIME = "tomorrow" )',
@@ -102,6 +107,8 @@ def _jsonl(path, rows):
 def _argv(command, tmp_path):
     spec = tmp_path / "spec.json"
     save_spec(SPEC, spec)
+    if command in ("parse", "flatten"):
+        return [command, EXPRESSION]
     if command == "check":
         preds = tmp_path / "preds.txt"
         preds.write_text("".join(p + "\n" for p in PREDICTIONS), encoding="utf-8")
@@ -129,7 +136,7 @@ def _argv(command, tmp_path):
             "--n", "1", "--seed", "3"]
 
 
-@pytest.mark.parametrize("command", ["check", "eval", "derive-spec", "convert-top", "sample-spis",
+@pytest.mark.parametrize("command", ["parse", "flatten", "check", "eval", "derive-spec", "convert-top", "sample-spis",
                                      "retrieve", "prompt", "retrieve-embeddings",
                                      "prompt-embeddings"])
 def test_stdout_matches_golden(command, tmp_path, capsys):

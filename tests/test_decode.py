@@ -1,5 +1,6 @@
 import itertools
 import random
+import string
 import sys
 import time
 import tracemalloc
@@ -343,7 +344,7 @@ def test_escape_inside_string():
         state = advance(state, by_text[ch])
     assert state.is_complete
     call = parse(state.emitted)
-    assert call.args[0].value.text == '"a'
+    assert call.args[0][1] == '"a'
 
 
 def test_eos_only_when_complete():
@@ -567,6 +568,18 @@ def test_walk_does_not_recurse_through_string_content(max_string_len):
     allowed = allowed_tokens(state)
     assert allowed == scan_oracle(state)
     assert (by_text[long] in allowed) == (max_string_len >= 1500)
+
+
+@pytest.mark.parametrize("suffixes", [[""], ["", "x"]])
+def test_walk_does_not_recurse_per_character_of_a_long_token(suffixes):
+    # Tokens of 200 nested openings, 1,600 characters outside any string.
+    nested = "F ( A = " * 200
+    spec = ApiSpec(frozenset({"F"}), frozenset({"A"}), {"F": frozenset({"A"})})
+    texts = [c for c in string.printable if c.isprintable()] + [nested + s for s in suffixes]
+    state = new_session(spec, Vocab.from_texts(texts))
+    allowed = allowed_tokens(state)
+    assert allowed == scan_oracle(state)
+    assert texts.index(nested) in allowed
 
 
 # -- mock decoding -----------------------------------------------------------

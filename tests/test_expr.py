@@ -7,14 +7,9 @@ import hypothesis.strategies as st
 
 from apicheck.expr import (
     ApiCall,
-    ArgPair,
-    ChildRef,
     FlatCall,
-    Grounded,
-    Nested,
     ParseError,
     ParseErrorKind,
-    StringLit,
     flatten,
     is_identifier,
     non_identifiers,
@@ -31,7 +26,7 @@ FIG1 = (
 
 def test_parse_flat_call():
     call = parse('SHOW_ALARMS ( DATE_TIME = "tomorrow" )')
-    assert call == ApiCall("SHOW_ALARMS", (ArgPair("DATE_TIME", StringLit("tomorrow")),))
+    assert call == ApiCall("SHOW_ALARMS", (("DATE_TIME", "tomorrow"),))
 
 
 def test_parse_empty_args():
@@ -41,13 +36,10 @@ def test_parse_empty_args():
 def test_parse_nested():
     call = parse(FIG1)
     assert call.function == "GET_DIRECTIONS"
-    assert call.args[0].name == "DESTINATION"
-    inner = call.args[0].value
-    assert isinstance(inner, Nested)
-    assert inner.call == ApiCall(
-        "GET_LOCATION", (ArgPair("CATEGORY_LOCATION", StringLit("auditorium")),)
+    assert call.args[0] == (
+        "DESTINATION", ApiCall("GET_LOCATION", (("CATEGORY_LOCATION", "auditorium"),))
     )
-    assert call.args[1] == ArgPair("PATH", StringLit("1st ave"))
+    assert call.args[1] == ("PATH", "1st ave")
 
 
 def test_parse_whitespace_insensitive():
@@ -110,7 +102,7 @@ def test_identifier_rule_matches_reference(names):
 
 def test_string_escapes_round_trip():
     call = parse('F ( A = "say \\"hi\\" \\\\ done" )')
-    assert call.args[0].value == StringLit('say "hi" \\ done')
+    assert call.args[0] == ("A", 'say "hi" \\ done')
     text = serialize(call)
     assert '\\"hi\\"' in text
     assert parse(text) == call
@@ -125,8 +117,8 @@ def test_serialize_canonical_fig1():
 
 
 def test_flatten_single():
-    call = ApiCall("F", (ArgPair("A", StringLit("x")),))
-    assert flatten(call) == [FlatOf(0, "F", (("A", Grounded("x")),))]
+    call = ApiCall("F", (("A", "x"),))
+    assert flatten(call) == [FlatOf(0, "F", (("A", "x"),))]
 
 
 def FlatOf(index, function, args):
@@ -136,8 +128,8 @@ def FlatOf(index, function, args):
 def test_flatten_fig1():
     flats = flatten(parse(FIG1))
     assert flats == [
-        FlatOf(0, "GET_DIRECTIONS", (("DESTINATION", ChildRef(1)), ("PATH", Grounded("1st ave")))),
-        FlatOf(1, "GET_LOCATION", (("CATEGORY_LOCATION", Grounded("auditorium")),)),
+        FlatOf(0, "GET_DIRECTIONS", (("DESTINATION", 1), ("PATH", "1st ave"))),
+        FlatOf(1, "GET_LOCATION", (("CATEGORY_LOCATION", "auditorium"),)),
     ]
 
 
@@ -163,16 +155,16 @@ def test_flatten_three_level_chain():
     call = parse('F ( A = G ( B = H ( C = "x" ) ) )')
     flats = flatten(call)
     assert [f.function for f in flats] == ["F", "G", "H"]
-    assert flats[0].args == (("A", ChildRef(1)),)
-    assert flats[1].args == (("B", ChildRef(2)),)
-    assert flats[2].args == (("C", Grounded("x")),)
+    assert flats[0].args == (("A", 1),)
+    assert flats[1].args == (("B", 2),)
+    assert flats[2].args == (("C", "x"),)
 
 
 def _count_functions(call: ApiCall) -> int:
     total = 1
-    for arg in call.args:
-        if isinstance(arg.value, Nested):
-            total += _count_functions(arg.value.call)
+    for _name, value in call.args:
+        if not isinstance(value, str):
+            total += _count_functions(value)
     return total
 
 
@@ -195,14 +187,14 @@ def test_flatten_structure(call):
     referenced = []
     for flat in flats:
         for _name, value in flat.args:
-            if isinstance(value, ChildRef):
-                assert value.child_index > flat.index
-                referenced.append(value.child_index)
-    # every non-root flat is referenced by exactly one ChildRef
+            if not isinstance(value, str):
+                assert value > flat.index
+                referenced.append(value)
+    # every non-root flat is referenced by exactly one child index
     assert sorted(referenced) == list(range(1, len(flats)))
 
 
 def test_duplicate_argument_names_preserved():
     call = parse('F ( A = "x" , A = "y" )')
-    assert [a.name for a in call.args] == ["A", "A"]
-    assert flatten(call)[0].args == (("A", Grounded("x")), ("A", Grounded("y")))
+    assert call.args == (("A", "x"), ("A", "y"))
+    assert flatten(call)[0].args == (("A", "x"), ("A", "y"))

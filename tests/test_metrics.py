@@ -2,16 +2,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from apicheck.metrics import (
-    EvalPair,
-    evaluate,
-    exact_match,
-    intent_f1,
-    intent_multiset,
-    slot_f1,
-    slot_multiset,
-)
-from apicheck.expr import parse, serialize
+from apicheck.metrics import EvalPair, evaluate, evaluate_calls, intent_multiset, slot_multiset
+from apicheck.expr import flatten, parse, serialize
 from conftest import api_calls
 
 
@@ -28,64 +20,59 @@ def f1(tp, fp, fn):
 
 
 def test_identical_pair():
-    pairs = [EvalPair('F ( A = "x" )', 'F ( A = "x" )')]
-    assert exact_match(pairs) == 1.0
-    assert intent_f1(pairs) == 1.0
-    assert slot_f1(pairs) == 1.0
+    report = evaluate([EvalPair('F ( A = "x" )', 'F ( A = "x" )')])
+    assert (report.exact_match, report.intent_f1, report.slot_f1) == (1.0, 1.0, 1.0)
 
 
 def test_whitespace_only_difference_matches():
-    pairs = [EvalPair('F ( A = "x" )', 'F(A="x")')]
-    assert exact_match(pairs) == 1.0
+    assert evaluate([EvalPair('F ( A = "x" )', 'F(A="x")')]).exact_match == 1.0
 
 
 def test_unparseable_prediction():
-    pairs = [EvalPair('F ( A = "x" )', "broken (")]
-    assert exact_match(pairs) == 0.0
+    report = evaluate([EvalPair('F ( A = "x" )', "broken (")])
+    assert report.exact_match == 0.0
     # tp=0 fp=0 fn=1 for both intents and slots
-    assert intent_f1(pairs) == pytest.approx(f1(0, 0, 1))
-    assert slot_f1(pairs) == pytest.approx(f1(0, 0, 1))
+    assert report.intent_f1 == pytest.approx(f1(0, 0, 1))
+    assert report.slot_f1 == pytest.approx(f1(0, 0, 1))
 
 
 def test_right_intent_zero_slots():
-    pairs = [EvalPair('F ( A = "x" , B = "y" )', "F ( )")]
-    assert intent_f1(pairs) == 1.0
+    report = evaluate([EvalPair('F ( A = "x" , B = "y" )', "F ( )")])
+    assert report.intent_f1 == 1.0
     # slot precision denominator empty with non-empty gold: treated as 0
-    assert slot_f1(pairs) == pytest.approx(f1(0, 0, 2)) == 0.0
+    assert report.slot_f1 == pytest.approx(f1(0, 0, 2)) == 0.0
 
 
 def test_swapped_slot_name_batch():
-    pairs = [
+    report = evaluate([
         EvalPair('F ( A = "x" , B = "y" )', 'F ( A = "x" , C = "y" )'),
         EvalPair('G ( A = "z" )', 'G ( A = "z" )'),
-    ]
+    ])
     # hand count: pair 1 slots tp=1 fp=1 fn=1; pair 2 tp=1
-    assert slot_f1(pairs) == pytest.approx(f1(2, 1, 1))
-    assert intent_f1(pairs) == 1.0
-    assert exact_match(pairs) == 0.5
+    assert report.slot_f1 == pytest.approx(f1(2, 1, 1))
+    assert report.intent_f1 == 1.0
+    assert report.exact_match == 0.5
 
 
 def test_both_empty_slots_is_perfect():
-    pairs = [EvalPair("F ( )", "F ( )")]
-    assert slot_f1(pairs) == 1.0
+    assert evaluate([EvalPair("F ( )", "F ( )")]).slot_f1 == 1.0
 
 
 def test_nested_value_contributes_child_function_name():
     gold = 'F ( A = G ( B = "x" ) )'
-    slots = slot_multiset(parse(gold))
+    slots = slot_multiset(flatten(parse(gold)))
     assert slots == {("A", "G"): 1, ("B", "x"): 1}
-    pairs = [EvalPair(gold, 'F ( A = H ( B = "x" ) )')]
+    report = evaluate([EvalPair(gold, 'F ( A = H ( B = "x" ) )')])
     # intents: gold {F,G} pred {F,H} -> tp=1 fp=1 fn=1
-    assert intent_f1(pairs) == pytest.approx(f1(1, 1, 1))
+    assert report.intent_f1 == pytest.approx(f1(1, 1, 1))
     # slots: (A,G) vs (A,H) mismatch, (B,x) matches
-    assert slot_f1(pairs) == pytest.approx(f1(1, 1, 1))
+    assert report.slot_f1 == pytest.approx(f1(1, 1, 1))
 
 
 def test_duplicate_intents_are_multiset_counted():
     gold = 'F ( A = F ( ) )'
-    assert intent_multiset(parse(gold)) == {"F": 2}
-    pairs = [EvalPair(gold, "F ( )")]
-    assert intent_f1(pairs) == pytest.approx(f1(1, 0, 1))
+    assert intent_multiset(flatten(parse(gold))) == {"F": 2}
+    assert evaluate([EvalPair(gold, "F ( )")]).intent_f1 == pytest.approx(f1(1, 0, 1))
 
 
 def test_evaluate_report_fields():
@@ -95,6 +82,12 @@ def test_evaluate_report_fields():
     assert report.exact_match == 0.5
     assert 0.0 <= report.intent_f1 <= 1.0
     assert 0.0 <= report.slot_f1 <= 1.0
+
+
+def test_empty_pair_list_raises():
+    for score in (evaluate, evaluate_calls):
+        with pytest.raises(ValueError, match="requires at least one pair"):
+            score([])
 
 
 @given(st.lists(api_calls, min_size=1, max_size=5), st.randoms())
@@ -107,14 +100,13 @@ def test_permutation_invariance(calls, rnd):
     ]
     shuffled = list(pairs)
     rnd.shuffle(shuffled)
-    assert exact_match(shuffled) == exact_match(pairs)
-    assert intent_f1(shuffled) == pytest.approx(intent_f1(pairs))
-    assert slot_f1(shuffled) == pytest.approx(slot_f1(pairs))
+    report, shuffled_report = evaluate(pairs), evaluate(shuffled)
+    assert shuffled_report.exact_match == report.exact_match
+    assert shuffled_report.intent_f1 == pytest.approx(report.intent_f1)
+    assert shuffled_report.slot_f1 == pytest.approx(report.slot_f1)
 
 
 @given(st.lists(api_calls, min_size=1, max_size=5))
 def test_exact_match_one_implies_perfect_f1(calls):
-    pairs = [EvalPair(serialize(c), serialize(c)) for c in calls]
-    assert exact_match(pairs) == 1.0
-    assert intent_f1(pairs) == 1.0
-    assert slot_f1(pairs) == 1.0
+    report = evaluate([EvalPair(serialize(c), serialize(c)) for c in calls])
+    assert (report.exact_match, report.intent_f1, report.slot_f1) == (1.0, 1.0, 1.0)

@@ -28,7 +28,7 @@ from .retrieval import (
     retrieve,
 )
 from .spec import ApiSpec, derive_from_corpus, load_spec, save_spec
-from .topconvert import Example, parse_top, spis_sample, to_api_call
+from .topconvert import Example, spis_sample, top_to_call
 
 __all__ = [
     "ApiCall",
@@ -59,12 +59,11 @@ __all__ = [
     "new_session",
     "overhead_report",
     "parse",
-    "parse_top",
     "retrieve",
     "save_spec",
     "serialize",
     "spis_sample",
-    "to_api_call",
+    "top_to_call",
     "violation_rates",
 ]
 

@@ -94,7 +94,7 @@ def _cmd_convert_top(args) -> int:
     for example in examples:
         try:
             converted.append(topconvert.convert_example(example))
-        except (topconvert.TopFormatError, topconvert.TopConvertError) as e:
+        except topconvert.TopFormatError as e:
             raise ValueError(f"example {example.id!r}: {e}") from e
     if args.out:
         topconvert.write_examples(converted, args.out)

@@ -41,15 +41,18 @@ class ApiSpec:
         """Valid argument names for ``function``; empty set if unknown."""
         return self.associations.get(function, frozenset())
 
+    def _key(self):
+        # A function with no arguments is the same spec whether or not it has a key.
+        assoc = frozenset((f, a) for f, a in self.associations.items() if a)
+        return self.functions, self.arguments, assoc
+
     def __eq__(self, other):
         if not isinstance(other, ApiSpec):
             return NotImplemented
-        return (
-            self.functions == other.functions
-            and self.arguments == other.arguments
-            and {f: a for f, a in self.associations.items() if a}
-            == {f: a for f, a in other.associations.items() if a}
-        )
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def derive_from_corpus(calls: Iterable[ApiCall]) -> ApiSpec:

@@ -1,36 +1,25 @@
-"""TOP bracketed-parse handling: parse, convert to API calls, SPIS sampling, IO.
+"""TOP bracketed-parse handling: convert to API calls, SPIS sampling, IO.
 
 TOP format: ``[IN:LABEL ... ]`` / ``[SL:LABEL ... ]`` spans over whitespace
-separated utterance tokens. Intent labels become function names, slot labels
-become argument names. A slot holding a nested intent becomes a nested call;
-a slot holding tokens becomes a string value of the tokens joined by single
-spaces (no stop-word trimming). Carrier tokens directly under an intent are
-dropped.
+separated utterance tokens. ``top_to_call`` converts a TOP string to an API
+call in one left-to-right pass, with no intermediate tree. Intent labels
+become function names, slot labels become argument names. A slot holding a
+nested intent becomes a nested call; a slot holding tokens becomes a string
+value of the tokens joined by single spaces (no stop-word trimming). Carrier
+tokens directly under an intent are dropped. Every malformed string raises
+``TopFormatError`` with the character offset where it was found.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .expr import ApiCall, ParseError, flatten, is_identifier, parse, serialize
-
-
-class TopKind(enum.Enum):
-    INTENT = "intent"
-    SLOT = "slot"
-    TOKEN = "token"
-
-
-@dataclass(frozen=True)
-class TopNode:
-    kind: TopKind
-    label: str
-    children: tuple["TopNode", ...] = ()
 
 
 class TopFormatError(ValueError):
@@ -41,89 +30,54 @@ class TopFormatError(ValueError):
         self.offset = offset
 
 
-class TopConvertError(ValueError):
-    """TOP tree that cannot be converted to an API call."""
+# One match per lexeme after optional whitespace: an opener with its label,
+# any other "[", a "]", or a token.
+_TOP_LEXEME = re.compile(r"\s*(?:(\[(?:IN|SL):)([^\s\[\]]*)|(\[)|(\])|([^\s\[\]]+))")
 
 
-def parse_top(text: str) -> TopNode:
-    """Parse a bracketed TOP string into a tree."""
-    pos = 0
-    n = len(text)
-    # (kind, label, children) frames; root sentinel collects the single tree
-    stack: list[tuple[TopKind | None, str, list[TopNode]]] = [(None, "", [])]
-
-    while pos < n:
-        c = text[pos]
-        if c.isspace():
-            pos += 1
-            continue
-        if c == "[":
-            if text.startswith("[IN:", pos):
-                kind, skip = TopKind.INTENT, 4
-            elif text.startswith("[SL:", pos):
-                kind, skip = TopKind.SLOT, 4
-            else:
-                raise TopFormatError("bad bracket prefix (expected [IN: or [SL:)", pos)
-            start = pos + skip
-            end = start
-            while end < n and not text[end].isspace() and text[end] not in "[]":
-                end += 1
-            label = text[start:end]
+def top_to_call(text: str) -> ApiCall:
+    """Convert a bracketed TOP string with one intent root to an API call."""
+    roots: list[ApiCall] = []
+    # Open spans as (is_intent, label, items): an intent's items are its
+    # (slot, value) pairs, a slot's are its tokens and child calls.
+    stack: list[tuple[bool, str, list]] = []
+    for m in _TOP_LEXEME.finditer(text):
+        opener, label, bad, close, token = m.groups()
+        if opener:
+            pos = m.start(1)
             if not is_identifier(label):
-                raise TopFormatError(f"bad label {label!r}", start)
-            parent_kind = stack[-1][0]
-            if kind is TopKind.INTENT and parent_kind is TopKind.INTENT:
-                raise TopFormatError("intent nested directly under intent", pos)
-            if kind is TopKind.SLOT and parent_kind is not TopKind.INTENT:
+                raise TopFormatError(f"bad label {label!r}", m.start(2))
+            in_intent = bool(stack) and stack[-1][0]
+            if opener == "[IN:":
+                if in_intent:
+                    raise TopFormatError("intent nested directly under intent", pos)
+            elif not in_intent:
                 raise TopFormatError("slot must be nested under an intent", pos)
-            stack.append((kind, label, []))
-            pos = end
-        elif c == "]":
-            if len(stack) == 1:
-                raise TopFormatError("unbalanced ']'", pos)
-            kind, label, children = stack.pop()
-            if kind is TopKind.SLOT:
-                intents = [ch for ch in children if ch.kind is TopKind.INTENT]
-                if len(intents) > 1:
-                    raise TopFormatError("slot with multiple intent children", pos)
-            stack[-1][2].append(TopNode(kind, label, tuple(children)))  # type: ignore[arg-type]
-            pos += 1
-        else:
-            end = pos
-            while end < n and not text[end].isspace() and text[end] not in "[]":
-                end += 1
-            if len(stack) == 1:
-                raise TopFormatError("token outside brackets", pos)
-            stack[-1][2].append(TopNode(TopKind.TOKEN, text[pos:end]))
-            pos = end
-
-    if len(stack) > 1:
-        raise TopFormatError("unbalanced '['", n)
-    roots = stack[0][2]
+            stack.append((opener == "[IN:", label, []))
+        elif bad:
+            raise TopFormatError("bad bracket prefix (expected [IN: or [SL:)", m.start(3))
+        elif close:
+            if not stack:
+                raise TopFormatError("unbalanced ']'", m.start(4))
+            is_intent, label, items = stack.pop()
+            if is_intent:
+                (stack[-1][2] if stack else roots).append(ApiCall(label, tuple(items)))
+                continue
+            calls = [item for item in items if isinstance(item, ApiCall)]
+            if len(calls) > 1:
+                raise TopFormatError("slot with multiple intent children", m.start(4))
+            if calls and len(items) > 1:
+                raise TopFormatError(f"slot {label!r} mixes intent and token children", m.start(4))
+            stack[-1][2].append((label, calls[0] if calls else " ".join(items)))
+        elif not stack:
+            raise TopFormatError("token outside brackets", m.start(5))
+        elif not stack[-1][0]:
+            stack[-1][2].append(token)  # intents drop their carrier tokens
+    if stack:
+        raise TopFormatError("unbalanced '['", len(text))
     if len(roots) != 1:
         raise TopFormatError(f"expected exactly one root span, got {len(roots)}", 0)
     return roots[0]
-
-
-def to_api_call(tree: TopNode) -> ApiCall:
-    """Convert an intent-rooted TOP tree to an API call."""
-    if tree.kind is not TopKind.INTENT:
-        raise TopConvertError("root must be an intent")
-    args: list[tuple[str, str | ApiCall]] = []
-    for child in tree.children:
-        if child.kind is TopKind.TOKEN:
-            continue  # carrier words
-        intents = [ch for ch in child.children if ch.kind is TopKind.INTENT]
-        tokens = [ch for ch in child.children if ch.kind is TopKind.TOKEN]
-        if intents and tokens:
-            raise TopConvertError(
-                f"slot {child.label!r} mixes intent and token children"
-            )
-        if intents:
-            args.append((child.label, to_api_call(intents[0])))
-        else:
-            args.append((child.label, " ".join(t.label for t in tokens)))
-    return ApiCall(tree.label, tuple(args))
 
 
 @dataclass(frozen=True)
@@ -198,6 +152,9 @@ def load_examples(path: str | Path, require_api_call: bool = False) -> list[Exam
                 raise ExampleFormatError(f"{path}:{lineno}: missing string field {key!r}")
         api_call = rec.get("api_call")
         top_parse = rec.get("top_parse")
+        for key, value in (("api_call", api_call), ("top_parse", top_parse)):
+            if value is not None and not isinstance(value, str):
+                raise ExampleFormatError(f"{path}:{lineno}: field {key!r} must be a string")
         if api_call is None and top_parse is None:
             raise ExampleFormatError(f"{path}:{lineno}: record needs api_call or top_parse")
         if require_api_call and api_call is None:
@@ -230,8 +187,8 @@ def write_examples(examples: Iterable[Example], path: str | Path) -> None:
 def convert_example(example: Example) -> Example:
     """Fill in api_call from the record's top_parse."""
     if example.top_parse is None:
-        raise TopConvertError(f"example {example.id!r} has no top_parse")
-    call = to_api_call(parse_top(example.top_parse))
+        raise ExampleFormatError(f"example {example.id!r} has no top_parse")
+    call = top_to_call(example.top_parse)
     return Example(
         example.id, example.domain, example.utterance, serialize(call), example.top_parse
     )

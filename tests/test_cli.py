@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import string
@@ -40,6 +41,17 @@ def toy_files(tmp_path):
 
 def test_parse_command(capsys):
     assert main(["parse", 'F(A="x")']) == 0
+    assert capsys.readouterr().out == 'F ( A = "x" )\n'
+
+
+def test_console_script_entry_point(capsys):
+    # The `apicheck` script that installing the package would create.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["apicheck"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry(["parse", 'F(A="x")']) == 0
     assert capsys.readouterr().out == 'F ( A = "x" )\n'
 
 

@@ -179,6 +179,9 @@ def _write_error_inputs(tmp):
     _jsonl(tmp / "ex.jsonl", EXAMPLES)
     _jsonl(tmp / "badcall.jsonl", EXAMPLES[:1] + [dict(EXAMPLES[1], api_call="CREATE_ALARM (")])
     _jsonl(tmp / "bad_top.jsonl", [dict(TOP_RECORDS[0], top_parse="[IN:GET_ALARMS show")])
+    _jsonl(tmp / "mixed_top.jsonl", [dict(EXAMPLES[0], top_parse="[IN:F [SL:A word [IN:G ] ] ]")])
+    _jsonl(tmp / "int_top.jsonl", [dict(TOP_RECORDS[0], top_parse=5)])
+    _jsonl(tmp / "list_call.jsonl", [dict(EXAMPLES[0], api_call=["F ( )"])])
     (tmp / "emb.tsv").write_text(
         "".join(f"{e['id']}\t1.0,{i}.0\n" for i, e in enumerate(EXAMPLES)), encoding="utf-8")
     (tmp / "bad_emb.tsv").write_text("e1\t1.0,x\n", encoding="utf-8")
@@ -237,6 +240,15 @@ ERROR_ROWS = [
      "{tmp}/badcall.jsonl:2: api_call does not parse (UnbalancedParen at offset 14: unclosed call)"),
     ("convert-top-bad-parse", ["convert-top", "--in", "{tmp}/bad_top.jsonl"],
      "example 't1': unbalanced '[' at offset 19"),
+    ("convert-top-mixed-slot", ["convert-top", "--in", "{tmp}/mixed_top.jsonl"],
+     "example 'e1': slot 'A' mixes intent and token children at offset 25"),
+    ("convert-top-no-top-parse", ["convert-top", "--in", "{tmp}/ex.jsonl"],
+     "example 'e1' has no top_parse"),
+    ("convert-top-top-parse-not-string", ["convert-top", "--in", "{tmp}/int_top.jsonl"],
+     "{tmp}/int_top.jsonl:1: field 'top_parse' must be a string"),
+    ("prompt-api-call-not-string",
+     ["prompt", "--pool", "{tmp}/list_call.jsonl", "--query", "alarms", "--k", "1"],
+     "{tmp}/list_call.jsonl:1: field 'api_call' must be a string"),
     ("sample-spis-n-0", ["sample-spis", "--in", "{tmp}/ex.jsonl", "--n", "0"],
      "n must be positive"),
     ("retrieve-k-0", ["retrieve", *_POOL, "--query", "alarms", "--k", "0"],

@@ -35,6 +35,16 @@ def test_args_for_unknown_function_is_empty():
     assert derive_from_corpus([FIG1]).args_for("NOPE") == frozenset()
 
 
+def test_equal_specs_hash_equal():
+    # A function with no arguments is the same spec with or without its key.
+    with_key = ApiSpec({"F"}, set(), {"F": set()})
+    without_key = ApiSpec({"F"}, set(), {})
+    assert with_key == without_key
+    assert hash(with_key) == hash(without_key)
+    assert hash(ApiSpec()) == hash(ApiSpec())
+    assert len({with_key, without_key, derive_from_corpus([FIG1])}) == 2
+
+
 def test_invalid_association_key():
     with pytest.raises(SpecFormatError):
         ApiSpec(frozenset({"F"}), frozenset({"A"}), {"G": {"A"}})

@@ -1,18 +1,20 @@
-import pytest
+import enum
+import re
+from dataclasses import dataclass
 
-from apicheck.expr import flatten, parse, serialize
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from apicheck.expr import ApiCall, flatten, is_identifier, parse, serialize
 from apicheck.topconvert import (
     Example,
     ExampleFormatError,
-    TopConvertError,
     TopFormatError,
-    TopKind,
-    TopNode,
     convert_example,
     load_examples,
-    parse_top,
     spis_sample,
-    to_api_call,
+    top_to_call,
     write_examples,
 )
 
@@ -24,53 +26,147 @@ FIG1_TOP = (
 )
 
 
+# The reference converter: parse to a tree, then walk the tree to a call.
+class _Kind(enum.Enum):
+    INTENT = "intent"
+    SLOT = "slot"
+    TOKEN = "token"
+
+
+@dataclass(frozen=True)
+class _Node:
+    kind: _Kind
+    label: str
+    children: tuple["_Node", ...] = ()
+
+
+class MixedSlotError(ValueError):
+    """A slot holding both an intent and tokens."""
+
+
+def _parse_tree(text: str) -> _Node:
+    pos = 0
+    n = len(text)
+    # (kind, label, children) frames; root sentinel collects the single tree
+    stack: list[tuple[_Kind | None, str, list[_Node]]] = [(None, "", [])]
+
+    while pos < n:
+        c = text[pos]
+        if c.isspace():
+            pos += 1
+            continue
+        if c == "[":
+            if text.startswith("[IN:", pos):
+                kind = _Kind.INTENT
+            elif text.startswith("[SL:", pos):
+                kind = _Kind.SLOT
+            else:
+                raise TopFormatError("bad bracket prefix (expected [IN: or [SL:)", pos)
+            start = pos + 4
+            end = start
+            while end < n and not text[end].isspace() and text[end] not in "[]":
+                end += 1
+            label = text[start:end]
+            if not is_identifier(label):
+                raise TopFormatError(f"bad label {label!r}", start)
+            parent_kind = stack[-1][0]
+            if kind is _Kind.INTENT and parent_kind is _Kind.INTENT:
+                raise TopFormatError("intent nested directly under intent", pos)
+            if kind is _Kind.SLOT and parent_kind is not _Kind.INTENT:
+                raise TopFormatError("slot must be nested under an intent", pos)
+            stack.append((kind, label, []))
+            pos = end
+        elif c == "]":
+            if len(stack) == 1:
+                raise TopFormatError("unbalanced ']'", pos)
+            kind, label, children = stack.pop()
+            if kind is _Kind.SLOT:
+                intents = [ch for ch in children if ch.kind is _Kind.INTENT]
+                if len(intents) > 1:
+                    raise TopFormatError("slot with multiple intent children", pos)
+            stack[-1][2].append(_Node(kind, label, tuple(children)))
+            pos += 1
+        else:
+            end = pos
+            while end < n and not text[end].isspace() and text[end] not in "[]":
+                end += 1
+            if len(stack) == 1:
+                raise TopFormatError("token outside brackets", pos)
+            stack[-1][2].append(_Node(_Kind.TOKEN, text[pos:end]))
+            pos = end
+
+    if len(stack) > 1:
+        raise TopFormatError("unbalanced '['", n)
+    roots = stack[0][2]
+    if len(roots) != 1:
+        raise TopFormatError(f"expected exactly one root span, got {len(roots)}", 0)
+    return roots[0]
+
+
+def _tree_to_call(tree: _Node) -> ApiCall:
+    args: list[tuple[str, str | ApiCall]] = []
+    for child in tree.children:
+        if child.kind is _Kind.TOKEN:
+            continue  # carrier words
+        intents = [ch for ch in child.children if ch.kind is _Kind.INTENT]
+        tokens = [ch for ch in child.children if ch.kind is _Kind.TOKEN]
+        if intents and tokens:
+            raise MixedSlotError(f"slot {child.label!r} mixes intent and token children")
+        if intents:
+            args.append((child.label, _tree_to_call(intents[0])))
+        else:
+            args.append((child.label, " ".join(t.label for t in tokens)))
+    return ApiCall(tree.label, tuple(args))
+
+
+def tree_oracle(text: str) -> ApiCall:
+    """Two-stage TOP conversion, the reference for ``top_to_call``."""
+    return _tree_to_call(_parse_tree(text))
+
+
 def test_parse_top_flat():
-    tree = parse_top(SHOW_ALARMS_TOP)
-    assert tree.kind is TopKind.INTENT
-    assert tree.label == "SHOW_ALARMS"
-    kinds = [c.kind for c in tree.children]
-    assert kinds == [TopKind.TOKEN, TopKind.TOKEN, TopKind.TOKEN, TopKind.SLOT]
-    slot = tree.children[-1]
-    assert slot.label == "DATE_TIME"
-    assert [c.label for c in slot.children] == ["for", "tomorrow"]
+    assert top_to_call(SHOW_ALARMS_TOP) == ApiCall("SHOW_ALARMS", (("DATE_TIME", "for tomorrow"),))
 
 
 def test_parse_top_empty_intent():
-    assert parse_top("[IN:F ]") == TopNode(TopKind.INTENT, "F")
+    assert top_to_call("[IN:F ]") == ApiCall("F")
 
 
 def test_parse_top_adjacent_brackets():
     # closing brackets need no whitespace separation
-    tree = parse_top("[IN:F [SL:A x]]")
-    assert tree.children[0].children[0].label == "x"
+    assert top_to_call("[IN:F [SL:A x]]") == ApiCall("F", (("A", "x"),))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[IN:F [SL:A [IN:G ] [IN:H ]]]",  # multi-intent slot
-        "[XX:F ]",
-        "[IN:F ",
-        "[IN:F ]]",
-        "[IN:lower ]",
-        "[SL:A x ]",  # slot root
-        "[IN:F [IN:G ]]",  # intent directly under intent
-        "stray [IN:F ]",
-        "[IN:F ] [IN:G ]",  # two roots
-    ],
-)
+PARSE_ERRORS = {
+    "[IN:F [SL:A [IN:G ] [IN:H ]]]": "slot with multiple intent children at offset 27",
+    "[XX:F ]": "bad bracket prefix (expected [IN: or [SL:) at offset 0",
+    "[IN:F ": "unbalanced '[' at offset 6",
+    "[IN:F ]]": "unbalanced ']' at offset 7",
+    "[IN:lower ]": "bad label 'lower' at offset 4",
+    "[SL:A x ]": "slot must be nested under an intent at offset 0",
+    "[IN:F [IN:G ]]": "intent nested directly under intent at offset 6",
+    "stray [IN:F ]": "token outside brackets at offset 0",
+    "[IN:F ] [IN:G ]": "expected exactly one root span, got 2 at offset 0",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_top_errors(text):
-    with pytest.raises(TopFormatError):
-        parse_top(text)
+    with pytest.raises(TopFormatError) as err:
+        top_to_call(text)
+    assert str(err.value) == PARSE_ERRORS[text]
+    with pytest.raises(TopFormatError) as err:
+        tree_oracle(text)
+    assert str(err.value) == PARSE_ERRORS[text]
 
 
 def test_to_api_call_show_alarms():
-    call = to_api_call(parse_top(SHOW_ALARMS_TOP))
+    call = top_to_call(SHOW_ALARMS_TOP)
     assert serialize(call) == 'SHOW_ALARMS ( DATE_TIME = "for tomorrow" )'
 
 
 def test_to_api_call_fig1():
-    call = to_api_call(parse_top(FIG1_TOP))
+    call = top_to_call(FIG1_TOP)
     assert serialize(call) == (
         'GET_DIRECTIONS ( DESTINATION = GET_LOCATION ( CATEGORY_LOCATION = "auditorium" ) '
         ', PATH = "1st ave" )'
@@ -78,22 +174,124 @@ def test_to_api_call_fig1():
 
 
 def test_to_api_call_no_slots():
-    assert serialize(to_api_call(parse_top("[IN:F hello there ]"))) == "F ( )"
+    assert serialize(top_to_call("[IN:F hello there ]")) == "F ( )"
 
 
 def test_to_api_call_mixed_slot_children():
-    tree = parse_top("[IN:F [SL:A word [IN:G ] ] ]")
-    with pytest.raises(TopConvertError):
-        to_api_call(tree)
+    # Raised at the slot's "]", the first point where the mix is known.
+    with pytest.raises(TopFormatError) as err:
+        top_to_call("[IN:F [SL:A word [IN:G ] ] ]")
+    assert str(err.value) == "slot 'A' mixes intent and token children at offset 25"
+    assert err.value.offset == 25
 
 
 def test_to_api_call_never_invents_labels():
     for top in (SHOW_ALARMS_TOP, FIG1_TOP):
-        call = to_api_call(parse_top(top))
+        call = top_to_call(top)
         for flat in flatten(call):
             assert f"[IN:{flat.function}" in top
             for name, _value in flat.args:
                 assert f"[SL:{name}" in top
+
+
+# Generated TOP strings for the differential test against tree_oracle.
+_LABELS = st.from_regex(r"[A-Z_][A-Z0-9_]{0,4}", fullmatch=True)
+_WORDS = st.text(alphabet="abzIN:SLé1_\"", min_size=1, max_size=4)
+_SPACES = ["\t", "\n", "\u00a0", "\u0085", "\u2003", "\u3000"]
+_SEPS = st.sampled_from([" "] * 6 + ["  "] + _SPACES)
+_SEPS_OR_NONE = st.sampled_from(["", " ", " ", "\u2003"])
+
+
+def _join(draw, parts: list[str]) -> str:
+    out = parts[0]
+    for part in parts[1:]:
+        # A separator is optional only next to a bracket; elsewhere it splits lexemes.
+        optional = out.endswith("]") or part[0] in "[]"
+        out += draw(_SEPS_OR_NONE if optional else _SEPS) + part
+    return out
+
+
+@st.composite
+def _top_intent(draw, depth=0):
+    parts = ["[IN:" + draw(_LABELS)]
+    for _ in range(draw(st.integers(0, 3))):
+        parts.append(draw(_WORDS) if draw(st.booleans()) else draw(_top_slot(depth)))
+    return _join(draw, parts + ["]"])
+
+
+@st.composite
+def _top_slot(draw, depth):
+    parts = ["[SL:" + draw(_LABELS)]
+    shapes = ["tokens", "tokens", "intent", "mixed", "intents"] if depth < 2 else ["tokens"]
+    shape = draw(st.sampled_from(shapes))
+    if shape in ("tokens", "mixed"):
+        parts += draw(st.lists(_WORDS, min_size=int(shape == "mixed"), max_size=3))
+    for _ in range({"intent": 1, "mixed": 1, "intents": 2}.get(shape, 0)):
+        parts.insert(draw(st.integers(1, len(parts))), draw(_top_intent(depth + 1)))
+    return _join(draw, parts + ["]"])
+
+
+_OPENER = re.compile(r"\[(?:IN|SL):([^\s\[\]]*)")
+
+
+@st.composite
+def top_texts(draw):
+    text = draw(_top_intent())
+    corruption = draw(st.sampled_from(
+        ["none", "none", "drop", "add", "prefix", "lower", "empty", "space", "stray", "roots"]
+    ))
+    openers = list(_OPENER.finditer(text))
+    m = openers[draw(st.integers(0, len(openers) - 1))]
+    if corruption == "drop":
+        brackets = [i for i, c in enumerate(text) if c in "[]"]
+        i = draw(st.sampled_from(brackets))
+        text = text[:i] + text[i + 1:]
+    elif corruption == "add":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from("[]")) + text[i:]
+    elif corruption == "prefix":
+        text = text[:m.start()] + "[XX:" + text[m.start() + 4:]
+    elif corruption in ("lower", "empty"):
+        label = m.group(1).lower() if corruption == "lower" else ""
+        text = text[:m.start(1)] + label + text[m.end(1):]
+    elif corruption == "space":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(_SPACES)) + text[i:]
+    elif corruption == "stray":
+        text = draw(_WORDS) + " " + text
+    elif corruption == "roots":
+        text = text + draw(_SEPS_OR_NONE) + draw(_top_intent())
+    return text
+
+
+def _outcome(convert, text):
+    try:
+        return convert(text)
+    except (TopFormatError, MixedSlotError) as e:
+        return e
+
+
+def _is_mixed(outcome) -> bool:
+    return isinstance(outcome, ValueError) and "mixes intent and token children" in str(outcome)
+
+
+@settings(max_examples=600)
+@given(top_texts())
+def test_top_to_call_matches_tree_oracle(text):
+    got, want = _outcome(top_to_call, text), _outcome(tree_oracle, text)
+    if _is_mixed(got) or _is_mixed(want):
+        # The oracle finds a mixed slot only after the whole parse, so any
+        # format error comes first there; one pass reports it at the slot's "]".
+        assert isinstance(got, TopFormatError) and isinstance(want, ValueError)
+        if _is_mixed(got):
+            # Up to that "]", the oracle's parser found nothing wrong either.
+            end = got.offset + 1
+            with pytest.raises(TopFormatError, match=re.escape(f"unbalanced '[' at offset {end}")):
+                _parse_tree(text[:end])
+    elif isinstance(got, ValueError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
 
 
 def _pool():
@@ -186,5 +384,6 @@ def test_convert_example():
     converted = convert_example(record)
     assert converted.api_call == 'SHOW_ALARMS ( DATE_TIME = "for tomorrow" )'
     assert converted.top_parse == SHOW_ALARMS_TOP
-    with pytest.raises(TopConvertError):
+    with pytest.raises(ExampleFormatError) as err:
         convert_example(Example("e2", "alarm", "u", "F ( )", None))
+    assert str(err.value) == "example 'e2' has no top_parse"

@@ -40,10 +40,14 @@ class HashedBowEmbedder:
 
     def __init__(self, dimension: int = 1024):
         self.dimension = dimension
+        self._buckets: dict[str, int] = {}
 
     def _index(self, token: str) -> int:
-        digest = hashlib.sha1(token.encode("utf-8")).hexdigest()
-        return int(digest, 16) % self.dimension
+        bucket = self._buckets.get(token)
+        if bucket is None:
+            digest = hashlib.sha1(token.encode("utf-8")).hexdigest()
+            bucket = self._buckets[token] = int(digest, 16) % self.dimension
+        return bucket
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
@@ -106,7 +110,10 @@ def save_embeddings(vectors: Mapping[str, np.ndarray], path: str | Path) -> None
 @dataclass(frozen=True)
 class DemoIndex:
     """The pool's embeddings as the rows of one (P, D) matrix, scaled to unit
-    length (a zero vector stays zero), in the order of ``examples``."""
+    length (a zero vector stays zero), in the order of ``examples``.
+
+    The matrix is column-major, so the pool's values in one dimension are
+    contiguous and a sparse query reads only the columns it is nonzero in."""
 
     examples: tuple[Example, ...]
     vectors: np.ndarray
@@ -117,16 +124,18 @@ def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
     if not examples:
         raise ValueError("cannot build an index over zero examples")
     # Filled row by row: stacking a list of rows, or normalising the whole matrix
-    # at once, would briefly hold a second copy of the pool.
-    vectors = np.empty((len(examples), embedder.dimension), dtype=np.float64)
-    for row, ex in zip(vectors, examples):
+    # at once, would briefly hold a second copy of the pool. Only a row's nonzeros
+    # are written, since a whole row is strided across a column-major matrix.
+    vectors = np.zeros((len(examples), embedder.dimension), dtype=np.float64, order="F")
+    for row, ex in enumerate(examples):
         vec = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
         if len(vec) != embedder.dimension:
             raise ValueError(
                 f"embedder dimension mismatch: {len(vec)} != {embedder.dimension}"
             )
         norm = np.linalg.norm(vec)
-        row[:] = vec / norm if norm > 0 else vec
+        nz = np.flatnonzero(vec)
+        vectors[row, nz] = vec[nz] / norm if norm > 0 else vec[nz]
     return DemoIndex(tuple(examples), vectors, embedder)
 
 
@@ -141,7 +150,15 @@ def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Exam
         raise ValueError("k must be positive")
     query = index.embedder.embed(utterance)
     norm = np.linalg.norm(query)
-    sims = index.vectors @ (query / norm if norm > 0 else query)
+    unit = query / norm if norm > 0 else query
+    cols = np.flatnonzero(unit)
+    if 8 * len(cols) < len(unit):
+        # A sparse query (a hashed bag of words has a handful of nonzeros) reads
+        # only its own columns; gathering them costs more than a dense product
+        # once the query is dense, so denser queries take the whole matrix.
+        sims = index.vectors[:, cols] @ unit[cols]
+    else:
+        sims = index.vectors @ unit
     rounded = np.round(sims, 12)
     candidates = range(len(sims))
     if k < len(sims):

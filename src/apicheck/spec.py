@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .expr import ApiCall, flatten, non_identifiers
@@ -16,7 +17,10 @@ class SpecFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ApiSpec:
-    """Function and argument names, all identifiers, and the arguments of each function."""
+    """Function and argument names, all identifiers, and the arguments of each function.
+
+    ``associations`` is held as a read-only mapping to frozensets, so a spec
+    cannot change, and with it its hash, once it is in a set or dict."""
 
     functions: frozenset[str] = frozenset()
     arguments: frozenset[str] = frozenset()
@@ -25,7 +29,7 @@ class ApiSpec:
     def __post_init__(self):
         object.__setattr__(self, "functions", frozenset(self.functions))
         object.__setattr__(self, "arguments", frozenset(self.arguments))
-        assoc = {f: frozenset(a) for f, a in dict(self.associations).items()}
+        assoc = MappingProxyType({f: frozenset(a) for f, a in dict(self.associations).items()})
         object.__setattr__(self, "associations", assoc)
         not_idents = non_identifiers([*self.functions, *self.arguments])
         if not_idents:
@@ -53,6 +57,10 @@ class ApiSpec:
 
     def __hash__(self):
         return hash(self._key())
+
+    def __reduce__(self):
+        # A mappingproxy can be neither pickled nor copied, so rebuild from a dict.
+        return ApiSpec, (self.functions, self.arguments, dict(self.associations))
 
 
 def derive_from_corpus(calls: Iterable[ApiCall]) -> ApiSpec:

@@ -741,6 +741,8 @@ def test_overhead_cost_nondecreasing_with_fanout():
     args = {f"A{c}" for c in "BCDEFGH"}
     big = ApiSpec(frozenset({"F"}), frozenset(args), {"F": frozenset(args)})
     vocab = genutil.char_vocab(big)
-    t_small = overhead_report(small, vocab, n_steps=400).constrained_per_step_s
-    t_big = overhead_report(big, vocab, n_steps=400).constrained_per_step_s
+    # The fastest of five alternating runs each, so one scheduler stall cannot decide it.
+    runs = [[overhead_report(spec, vocab, n_steps=400).constrained_per_step_s
+             for spec in (small, big)] for _ in range(5)]
+    t_small, t_big = map(min, zip(*runs))
     assert t_big >= t_small * 0.5  # generous: timing noise, but no collapse

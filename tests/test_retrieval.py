@@ -227,6 +227,63 @@ def test_retrieve_scored_matches_cosine_oracle_on_precomputed_vectors(case):
     _assert_matches_oracle(index, "?query", query, ids, rows, k)
 
 
+def _unit_rows(vecs):
+    """Reference index: each vector scaled to unit length on its own (a zero vector stays zero)."""
+    return np.array([v / np.linalg.norm(v) if np.linalg.norm(v) > 0 else v for v in vecs])
+
+
+def _assert_matches_dense_product(index, query, query_vec, rows, k):
+    """retrieve_scored against ``rows @ unit_query`` under the 12-decimal tie rule."""
+    norm = np.linalg.norm(query_vec)
+    sims = rows @ (query_vec / norm if norm > 0 else query_vec)
+    ids = [e.id for e in index.examples]
+    want = sorted(range(len(ids)), key=lambda i: (-round(float(sims[i]), 12), ids[i]))[:k]
+    got = retrieve_scored(index, query, k)
+    assert [e.id for e, _s in got] == [ids[i] for i in want]
+    assert all(abs(s - sims[i]) < 1e-12 for (_e, s), i in zip(got, want))
+
+
+_POOL_WORDS = ("show my alarms for tomorrow play some jazz music will it rain this weekend "
+               "set a timer remind me to water the plants message olivia directions").split()
+
+
+def test_sparse_ranking_matches_dense_product_on_hashed_pool():
+    rng = np.random.default_rng(11)
+    utterances = [" ".join(rng.choice(_POOL_WORDS, rng.integers(0, 8)))
+                  for _ in range(300)]
+    pool = _examples([(f"u{i:03d}", u, "A ( )") for i, u in enumerate(utterances)])
+    emb = HashedBowEmbedder()
+    index = build_index(pool, emb)
+    rows = _unit_rows([emb.embed(u) for u in utterances])
+    assert index.vectors.flags.f_contiguous
+    assert np.array_equal(index.vectors, rows)
+    for query in ["", "zzqq", "play jazz", *utterances[:20]]:
+        for k in (1, 10, 300):
+            _assert_matches_dense_product(index, query, emb.embed(query), rows, k)
+
+
+@pytest.mark.parametrize("nonzeros", [1, 4, 8, 64])
+def test_ranking_matches_dense_product_on_either_side_of_the_gather(nonzeros):
+    # At D=64, queries with 1 or 4 nonzeros gather their columns; 8 or 64 take
+    # the whole matrix.
+    rng = np.random.default_rng(nonzeros)
+    vecs = rng.standard_normal((300, 64)) * (rng.random((300, 64)) < 0.3)
+    vecs[:5] = 0.0
+    vectors = {f"v{i:03d}": v for i, v in enumerate(vecs)}
+    queries = {}
+    for j in range(10):
+        q = np.zeros(64)
+        q[rng.choice(64, nonzeros, replace=False)] = rng.standard_normal(nonzeros)
+        queries[f"?q{j}"] = q
+    pool = _examples([(i, "u", "A ( )") for i in vectors])
+    index = build_index(pool, PrecomputedEmbedder({**vectors, **queries}))
+    rows = _unit_rows(vecs)
+    assert np.array_equal(index.vectors, rows)
+    for key, q in queries.items():
+        for k in (1, 10, 300):
+            _assert_matches_dense_product(index, key, q, rows, k)
+
+
 @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
 def test_load_embeddings_rejects_non_finite(tmp_path, component):
     path = tmp_path / "vectors.tsv"

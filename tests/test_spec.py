@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given
@@ -43,6 +45,25 @@ def test_equal_specs_hash_equal():
     assert hash(with_key) == hash(without_key)
     assert hash(ApiSpec()) == hash(ApiSpec())
     assert len({with_key, without_key, derive_from_corpus([FIG1])}) == 2
+
+
+def test_associations_are_read_only():
+    spec = derive_from_corpus([FIG1])
+    before = hash(spec)
+    with pytest.raises(TypeError):
+        spec.associations["GET_DIRECTIONS"] = frozenset()
+    with pytest.raises(TypeError):
+        del spec.associations["GET_LOCATION"]
+    assert all(isinstance(a, frozenset) for a in spec.associations.values())
+    assert hash(spec) == before
+
+
+def test_spec_pickles_and_copies():
+    spec = derive_from_corpus([FIG1])
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert twin == spec and hash(twin) == hash(spec)
+        with pytest.raises(TypeError):
+            twin.associations["GET_DIRECTIONS"] = frozenset()
 
 
 def test_invalid_association_key():

@@ -20,6 +20,7 @@ import numpy as np
 from .topconvert import Example
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_MAX_CACHED_TOKENS = 1 << 14  # distinct words whose bucket one HashedBowEmbedder keeps
 
 
 class Embedder(Protocol):
@@ -46,7 +47,11 @@ class HashedBowEmbedder:
         bucket = self._buckets.get(token)
         if bucket is None:
             digest = hashlib.sha1(token.encode("utf-8")).hexdigest()
-            bucket = self._buckets[token] = int(digest, 16) % self.dimension
+            bucket = int(digest, 16) % self.dimension
+            # A pool repeats its words, so each is hashed once, up to a bound
+            # that keeps an open vocabulary from growing the table without end.
+            if len(self._buckets) < _MAX_CACHED_TOKENS:
+                self._buckets[token] = bucket
         return bucket
 
     def embed(self, text: str) -> np.ndarray:
@@ -124,18 +129,19 @@ def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
     if not examples:
         raise ValueError("cannot build an index over zero examples")
     # Filled row by row: stacking a list of rows, or normalising the whole matrix
-    # at once, would briefly hold a second copy of the pool. Only a row's nonzeros
-    # are written, since a whole row is strided across a column-major matrix.
-    vectors = np.zeros((len(examples), embedder.dimension), dtype=np.float64, order="F")
-    for row, ex in enumerate(examples):
+    # at once, would briefly hold a second copy of the pool. A row is strided in
+    # this column-major matrix, so a dense pool fills slower (80 against 49 ms at
+    # 5,000 x 1,024); staging rows in a row-major block won back only part of that
+    # (64 ms), and only with a buffer of 128 rows.
+    vectors = np.empty((len(examples), embedder.dimension), dtype=np.float64, order="F")
+    for row, ex in zip(vectors, examples):
         vec = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
         if len(vec) != embedder.dimension:
             raise ValueError(
                 f"embedder dimension mismatch: {len(vec)} != {embedder.dimension}"
             )
         norm = np.linalg.norm(vec)
-        nz = np.flatnonzero(vec)
-        vectors[row, nz] = vec[nz] / norm if norm > 0 else vec[nz]
+        row[:] = vec / norm if norm > 0 else vec
     return DemoIndex(tuple(examples), vectors, embedder)
 
 
@@ -154,9 +160,14 @@ def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Exam
     cols = np.flatnonzero(unit)
     if 8 * len(cols) < len(unit):
         # A sparse query (a hashed bag of words has a handful of nonzeros) reads
-        # only its own columns; gathering them costs more than a dense product
-        # once the query is dense, so denser queries take the whole matrix.
-        sims = index.vectors[:, cols] @ unit[cols]
+        # only its own columns, one at a time: gathering them into one (P, n)
+        # copy first raised srd-prompt's peak memory by the largest copy. Per
+        # column this costs more than the whole product: on a 5,000 x 1,024
+        # index, 64, 128 and 192 columns took 0.42-0.54, 0.98-1.09 and
+        # 1.27-1.68 ms against 1.1-1.6 ms, so denser queries take the product.
+        sims = np.zeros(len(index.vectors))
+        for col in cols:
+            sims += index.vectors[:, col] * unit[col]
     else:
         sims = index.vectors @ unit
     rounded = np.round(sims, 12)

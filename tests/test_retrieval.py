@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 
+from apicheck import retrieval
 from apicheck.retrieval import (
     DemoIndex,
     EmbeddingLookupError,
@@ -66,11 +68,35 @@ def test_default_embedder_deterministic_unit_norm():
     assert emb.embed("").sum() == 0.0
 
 
+def test_embedder_caches_a_bounded_number_of_words(monkeypatch):
+    monkeypatch.setattr(retrieval, "_MAX_CACHED_TOKENS", 2)
+    emb = HashedBowEmbedder(dimension=64)
+    text = "show my alarms show jazz my"
+    first, again = emb.embed(text), emb.embed(text)
+    assert len(emb._buckets) == 2
+    want = np.zeros(64)
+    for word in text.split():
+        want[int(hashlib.sha1(word.encode()).hexdigest(), 16) % 64] += 1.0
+    assert np.array_equal(first, want / np.linalg.norm(want))
+    assert np.array_equal(again, first)
+
+
 def test_build_index_counts_and_duplicates():
-    pool = _pool() + [Example("p4", "toy", "show my alarms", "A ( )")]
-    index = build_index(pool, HashedBowEmbedder())
-    assert len(index.examples) == 4
+    # 300 more rows, among them empty utterances, which give zero rows.
+    rng = np.random.default_rng(11)
+    utterances = [" ".join(rng.choice(_WORDS, rng.integers(0, 5))) for _ in range(300)]
+    pool = _pool() + _examples([("p4", "show my alarms", "A ( )")] +
+                               [(f"u{i:03d}", u, "A ( )") for i, u in enumerate(utterances)])
+    emb = HashedBowEmbedder()
+    index = build_index(pool, emb)
+    assert len(index.examples) == 304
     assert np.array_equal(index.vectors[0], index.vectors[3])
+    # Column-major, with each row scaled on its own, as row by row into a row-major matrix.
+    assert index.vectors.flags.f_contiguous
+    for row, ex in zip(index.vectors, pool):
+        vec = emb.embed(ex.utterance)
+        norm = np.linalg.norm(vec)
+        assert np.array_equal(row, vec / norm if norm > 0 else vec)
 
 
 def test_build_index_holds_one_copy_of_the_pool():
@@ -203,85 +229,44 @@ def test_retrieve_scored_matches_cosine_oracle(case):
 
 
 _vectors = st.tuples(*[st.integers(-1, 2)] * 3)
+# Up to 12 nonzeros in 64 dimensions: a query with at most 7 reads its columns
+# in retrieve_scored, a denser one takes the whole-matrix product.
+_sparse_vectors = st.dictionaries(st.integers(0, 63), st.integers(-1, 2), max_size=12).map(
+    lambda entries: tuple(entries.get(i, 0) for i in range(64)))
 
 
 @st.composite
 def _vector_pools(draw):
-    base = draw(st.lists(_vectors, min_size=1, max_size=8))
+    vectors = draw(st.sampled_from([_vectors, _sparse_vectors]))
+    base = draw(st.lists(vectors, min_size=1, max_size=8))
     scales = draw(st.lists(st.sampled_from([1.0, 0.1, 3.0, 1e6]),
                            min_size=len(base), max_size=len(base)))
     rows = [np.array(v, dtype=np.float64) * c for v, c in zip(base, scales)]
-    query = np.array(draw(_vectors), dtype=np.float64)
+    query = np.array(draw(vectors), dtype=np.float64)
     return rows, _ids(draw, len(rows)), query, draw(st.integers(1, len(rows) + 2))
+
+
+def _at_64(*entries):
+    v = np.zeros(64)
+    v[list(entries)] = np.arange(1.0, len(entries) + 1)
+    return v
 
 
 @given(_vector_pools())
 @example(([np.array([1.0, 1.0, 0.0]), np.array([0.3, 0.3, 0.0]), np.zeros(3)], ["b", "a", "c"],
           np.array([1.0, 2.0, 0.0]), 1))
+@example(([_at_64(0, 5), _at_64(5, 9, 63), _at_64(9), np.zeros(64)], ["a", "b", "c", "d"],
+          _at_64(5, 9, 40, 63), 3))
+@example(([_at_64(0, 5), _at_64(5, 9, 63), 3.0 * _at_64(5, 9, 63)], ["b", "c", "a"],
+          _at_64(*range(64)), 2))
 def test_retrieve_scored_matches_cosine_oracle_on_precomputed_vectors(case):
-    # Scaled copies of one direction, zero vectors, a zero query and k above the pool size.
+    # Scaled copies of one direction, zero vectors, a zero query and k above the
+    # pool size; at D=64 a sparse query reads only its columns, a dense one all.
     rows, ids, query, k = case
     vectors = {"?query": query, **dict(zip(ids, rows))}
     pool = _examples([(i, "u", "A ( )") for i in ids])
     index = build_index(pool, PrecomputedEmbedder(vectors))
     _assert_matches_oracle(index, "?query", query, ids, rows, k)
-
-
-def _unit_rows(vecs):
-    """Reference index: each vector scaled to unit length on its own (a zero vector stays zero)."""
-    return np.array([v / np.linalg.norm(v) if np.linalg.norm(v) > 0 else v for v in vecs])
-
-
-def _assert_matches_dense_product(index, query, query_vec, rows, k):
-    """retrieve_scored against ``rows @ unit_query`` under the 12-decimal tie rule."""
-    norm = np.linalg.norm(query_vec)
-    sims = rows @ (query_vec / norm if norm > 0 else query_vec)
-    ids = [e.id for e in index.examples]
-    want = sorted(range(len(ids)), key=lambda i: (-round(float(sims[i]), 12), ids[i]))[:k]
-    got = retrieve_scored(index, query, k)
-    assert [e.id for e, _s in got] == [ids[i] for i in want]
-    assert all(abs(s - sims[i]) < 1e-12 for (_e, s), i in zip(got, want))
-
-
-_POOL_WORDS = ("show my alarms for tomorrow play some jazz music will it rain this weekend "
-               "set a timer remind me to water the plants message olivia directions").split()
-
-
-def test_sparse_ranking_matches_dense_product_on_hashed_pool():
-    rng = np.random.default_rng(11)
-    utterances = [" ".join(rng.choice(_POOL_WORDS, rng.integers(0, 8)))
-                  for _ in range(300)]
-    pool = _examples([(f"u{i:03d}", u, "A ( )") for i, u in enumerate(utterances)])
-    emb = HashedBowEmbedder()
-    index = build_index(pool, emb)
-    rows = _unit_rows([emb.embed(u) for u in utterances])
-    assert index.vectors.flags.f_contiguous
-    assert np.array_equal(index.vectors, rows)
-    for query in ["", "zzqq", "play jazz", *utterances[:20]]:
-        for k in (1, 10, 300):
-            _assert_matches_dense_product(index, query, emb.embed(query), rows, k)
-
-
-@pytest.mark.parametrize("nonzeros", [1, 4, 8, 64])
-def test_ranking_matches_dense_product_on_either_side_of_the_gather(nonzeros):
-    # At D=64, queries with 1 or 4 nonzeros gather their columns; 8 or 64 take
-    # the whole matrix.
-    rng = np.random.default_rng(nonzeros)
-    vecs = rng.standard_normal((300, 64)) * (rng.random((300, 64)) < 0.3)
-    vecs[:5] = 0.0
-    vectors = {f"v{i:03d}": v for i, v in enumerate(vecs)}
-    queries = {}
-    for j in range(10):
-        q = np.zeros(64)
-        q[rng.choice(64, nonzeros, replace=False)] = rng.standard_normal(nonzeros)
-        queries[f"?q{j}"] = q
-    pool = _examples([(i, "u", "A ( )") for i in vectors])
-    index = build_index(pool, PrecomputedEmbedder({**vectors, **queries}))
-    rows = _unit_rows(vecs)
-    assert np.array_equal(index.vectors, rows)
-    for key, q in queries.items():
-        for k in (1, 10, 300):
-            _assert_matches_dense_product(index, key, q, rows, k)
 
 
 @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])

@@ -18,7 +18,7 @@ from .decode import (
     overhead_report,
 )
 from .expr import ApiCall, FlatCall, ParseError, flatten, parse, serialize
-from .metrics import EvalPair, evaluate
+from .metrics import evaluate
 from .retrieval import (
     DemoIndex,
     HashedBowEmbedder,
@@ -36,7 +36,6 @@ __all__ = [
     "ConstraintSignature",
     "DecodeState",
     "DemoIndex",
-    "EvalPair",
     "Example",
     "FlatCall",
     "HashedBowEmbedder",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -78,7 +79,7 @@ def _cmd_eval(args) -> int:
         reports.append(violations)
     if not calls:
         raise ValueError(f"{args.pairs}: no evaluation pairs")
-    report = metrics.evaluate_calls(calls)
+    report = metrics.evaluate(calls)
     rates = constraints.violation_rates(reports)
     print(f"examples: {report.n}")
     print(f"exact match: {report.exact_match:.4f}")
@@ -143,12 +144,18 @@ def _cmd_prompt(args) -> int:
     return 0
 
 
+def _load_decode(args) -> tuple[apispec.ApiSpec, decode.Vocab]:
+    return apispec.load_spec(args.spec), decode.load_vocab(args.vocab)
+
+
+def _start_state(args) -> decode.DecodeState:
+    return decode.new_session(*_load_decode(args), args.max_string_len, args.max_depth)
+
+
 def _cmd_decode_sim(args) -> int:
     if args.runs < 1:
         raise ValueError("runs must be >= 1")
-    loaded = apispec.load_spec(args.spec)
-    vocab = decode.load_vocab(args.vocab)
-    start = decode.new_session(loaded, vocab, args.max_string_len, args.max_depth)
+    start = _start_state(args)
     reports = []
     incomplete = 0
     for run in range(args.runs):
@@ -158,7 +165,7 @@ def _cmd_decode_sim(args) -> int:
             incomplete += 1
             print(f"run {run}: INCOMPLETE {e.emitted!r}", file=sys.stderr)
             continue
-        reports.append(constraints.check(text, loaded))
+        reports.append(constraints.check(text, start.session.spec))
         print(text)
     if reports:
         print(constraints.format_summary(constraints.violation_rates(reports)))
@@ -169,19 +176,14 @@ def _cmd_decode_sim(args) -> int:
 def _cmd_mask(args) -> int:
     if args.max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    loaded = apispec.load_spec(args.spec)
-    vocab = decode.load_vocab(args.vocab)
-    state = decode.new_session(loaded, vocab, args.max_string_len, args.max_depth)
-    walk = decode.iter_steps(state, random.Random(args.seed).choice)
+    walk = decode.iter_steps(_start_state(args), random.Random(args.seed).choice)
     for step, (_state, ids) in zip(range(args.max_steps if args.state_trace else 1), walk):
         print(f"{step}\t" + ",".join(str(i) for i in ids))
     return 0
 
 
 def _cmd_overhead(args) -> int:
-    loaded = apispec.load_spec(args.spec)
-    vocab = decode.load_vocab(args.vocab)
-    report = decode.overhead_report(loaded, vocab, args.steps, args.seed)
+    report = decode.overhead_report(*_load_decode(args), args.steps, args.seed)
     print(f"steps: {report.n_steps}")
     print(f"build time: {report.build_time_s:.6f} s")
     print(f"constrained per-step: {report.constrained_per_step_s * 1e6:.3f} us")
@@ -190,92 +192,80 @@ def _cmd_overhead(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="apicheck",
         description="Measure, analyze, and eliminate constraint violations in generated API calls.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse an expression and print its canonical form")
-    p.add_argument("expression")
-    p.set_defaults(func=_cmd_parse)
+    def command(name, func, summary, parents=()):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("flatten", help="print the flattened call list as JSON lines")
-    p.add_argument("expression")
-    p.set_defaults(func=_cmd_flatten)
+    # Options that several commands share, each declared once.
+    decode_inputs = argparse.ArgumentParser(add_help=False)
+    decode_inputs.add_argument("--spec", required=True)
+    decode_inputs.add_argument("--vocab", required=True)
+    decode_inputs.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    limits = argparse.ArgumentParser(add_help=False, parents=[decode_inputs])
+    limits.add_argument("--max-steps", type=int, default=4096)
+    limits.add_argument("--max-string-len", type=int, default=decode.DEFAULT_MAX_STRING_LEN)
+    limits.add_argument("--max-depth", type=int, default=decode.DEFAULT_MAX_DEPTH)
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--pool", required=True)
+    pool.add_argument("--query", required=True,
+                      help="query text (or example id when --embeddings is given)")
+    pool.add_argument("--k", type=int, required=True)
+    pool.add_argument("--embeddings")
 
-    p = sub.add_parser("derive-spec", help="derive an API spec from an example corpus")
+    p = command("parse", _cmd_parse, "parse an expression and print its canonical form")
+    p.add_argument("expression")
+
+    p = command("flatten", _cmd_flatten, "print the flattened call list as JSON lines")
+    p.add_argument("expression")
+
+    p = command("derive-spec", _cmd_derive_spec, "derive an API spec from an example corpus")
     p.add_argument("--examples", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_derive_spec)
 
-    p = sub.add_parser("check", help="check predictions (one per line) against a spec")
+    p = command("check", _cmd_check, "check predictions (one per line) against a spec")
     p.add_argument("--spec", required=True)
     p.add_argument("predictions")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("eval", help="semantic-parsing metrics plus violation rates")
+    p = command("eval", _cmd_eval, "semantic-parsing metrics plus violation rates")
     p.add_argument("--spec", required=True)
     p.add_argument("--pairs", required=True, help="JSONL with gold/predicted/utterance")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("convert-top", help="convert top_parse records to api_call records")
+    p = command("convert-top", _cmd_convert_top, "convert top_parse records to api_call records")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_convert_top)
 
-    p = sub.add_parser("sample-spis", help="samples-per-intent-and-slot subset")
+    p = command("sample-spis", _cmd_sample_spis, "samples-per-intent-and-slot subset")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_sample_spis)
 
-    p = sub.add_parser("retrieve", help="rank pool examples by similarity to a query")
-    p.add_argument("--pool", required=True)
-    p.add_argument("--query", required=True,
-                   help="query text (or example id when --embeddings is given)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--embeddings")
-    p.set_defaults(func=_cmd_retrieve)
+    command("retrieve", _cmd_retrieve, "rank pool examples by similarity to a query", [pool])
 
-    p = sub.add_parser("prompt", help="build an in-context prompt with retrieved demos")
-    p.add_argument("--pool", required=True)
-    p.add_argument("--query", required=True,
-                   help="query text (or example id when --embeddings is given)")
+    p = command("prompt", _cmd_prompt, "build an in-context prompt with retrieved demos", [pool])
     p.add_argument("--query-text", help="test utterance to print when --query is an id")
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--desc-file")
-    p.add_argument("--embeddings")
-    p.set_defaults(func=_cmd_prompt)
 
-    p = sub.add_parser("decode-sim", help="seeded mock decoding runs plus violation summary")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p = command("decode-sim", _cmd_decode_sim, "seeded mock decoding runs plus violation summary",
+                [limits])
     p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--max-steps", type=int, default=4096)
-    p.add_argument("--max-string-len", type=int, default=64)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.set_defaults(func=_cmd_decode_sim)
 
-    p = sub.add_parser("mask", help="dump allowed-token sets per step")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--vocab", required=True)
+    p = command("mask", _cmd_mask, "dump allowed-token sets per step", [limits])
     p.add_argument("--state-trace", action="store_true")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-steps", type=int, default=4096)
-    p.add_argument("--max-string-len", type=int, default=64)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.set_defaults(func=_cmd_mask)
 
-    p = sub.add_parser("overhead", help="constrained vs. unconstrained per-step timing")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--vocab", required=True)
+    p = command("overhead", _cmd_overhead, "constrained vs. unconstrained per-step timing",
+                [decode_inputs])
     p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_overhead)
 
     return parser
 

@@ -2,8 +2,9 @@
 
 Intents are the multiset of flattened function names. Slots are the multiset
 of (argument name, value token) pairs, where a nested-call value contributes
-the child function name as its value token. Unparseable predictions count as
-zero true positives and |gold| false negatives.
+the child function name as its value token. The scorer takes parsed calls; an
+unparseable prediction is passed as None (``constraints.parse_and_check``
+returns it so) and counts as zero true positives and |gold| false negatives.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .expr import ApiCall, FlatCall, ParseError, flatten, parse
-
-
-@dataclass(frozen=True)
-class EvalPair:
-    gold: str
-    predicted: str
-    utterance: str = ""
+from .expr import ApiCall, FlatCall, flatten
 
 
 @dataclass(frozen=True)
@@ -41,13 +35,6 @@ def slot_multiset(flats: list[FlatCall]) -> Counter:
     )
 
 
-def _try_parse(text: str) -> ApiCall | None:
-    try:
-        return parse(text)
-    except ParseError:
-        return None
-
-
 def _micro_f1(multisets: list[tuple[Counter, Counter]]) -> float:
     tp = fp = fn = 0
     for gold, pred in multisets:
@@ -68,7 +55,7 @@ def _micro_f1(multisets: list[tuple[Counter, Counter]]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def evaluate_calls(calls: list[tuple[ApiCall, ApiCall | None]]) -> MetricsReport:
+def evaluate(calls: list[tuple[ApiCall, ApiCall | None]]) -> MetricsReport:
     """Metrics over already-parsed (gold, prediction) calls; None is an unparseable prediction.
 
     Exact match compares the calls themselves: ``parse(serialize(c)) == c``
@@ -86,10 +73,3 @@ def evaluate_calls(calls: list[tuple[ApiCall, ApiCall | None]]) -> MetricsReport
         len(calls),
     )
 
-
-def evaluate(pairs: list[EvalPair]) -> MetricsReport:
-    """Parse each gold and each prediction once and score them.
-
-    A bad gold raises ParseError, and an empty list raises ValueError.
-    """
-    return evaluate_calls([(parse(p.gold), _try_parse(p.predicted)) for p in pairs])

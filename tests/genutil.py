@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 import string
 
+from apicheck.constraints import parse_and_check
 from apicheck.decode import Vocab
-from apicheck.expr import ApiCall
+from apicheck.expr import ApiCall, parse
 from apicheck.spec import ApiSpec, derive_from_corpus
 
 NAME_ALPHABET = string.ascii_uppercase + "_" + string.digits
@@ -18,6 +19,12 @@ def random_identifier(rng: random.Random, max_len: int = 8) -> str:
     first = rng.choice(string.ascii_uppercase + "_")
     rest = "".join(rng.choice(NAME_ALPHABET) for _ in range(rng.randint(0, max_len - 1)))
     return first + rest
+
+
+def parse_pairs(pairs: list[tuple[str, str]]) -> list[tuple[ApiCall, ApiCall | None]]:
+    """(gold, prediction) strings as the calls ``metrics.evaluate`` scores: a
+    prediction that does not parse is None, as ``parse_and_check`` decides."""
+    return [(parse(gold), parse_and_check(pred, ApiSpec())[0]) for gold, pred in pairs]
 
 
 def random_toy_spec(

@@ -23,7 +23,7 @@ from apicheck.decode import (
     Vocab,
 )
 from apicheck.expr import ApiCall, parse, serialize
-from apicheck.metrics import EvalPair, evaluate
+from apicheck.metrics import evaluate
 from apicheck.retrieval import HashedBowEmbedder, build_index, build_prompt, retrieve_scored
 from apicheck.spec import ApiSpec, derive_from_corpus
 from apicheck.topconvert import Example, spis_sample
@@ -409,38 +409,38 @@ def test_metrics_match_hand_counts():
     batches = [
         # (pairs, expected EM, intent (tp,fp,fn), slot (tp,fp,fn))
         (
-            [EvalPair('F ( A = "x" )', 'F ( A = "x" )')],
+            [('F ( A = "x" )', 'F ( A = "x" )')],
             1.0, (1, 0, 0), (1, 0, 0),
         ),
         (
-            [EvalPair('F ( A = "x" , B = "y" )', "F ( )")],
+            [('F ( A = "x" , B = "y" )', "F ( )")],
             0.0, (1, 0, 0), (0, 0, 2),
         ),
         (
             [
-                EvalPair('F ( A = "x" , B = "y" )', 'F ( A = "x" , C = "y" )'),
-                EvalPair('G ( A = "z" )', 'G ( A = "z" )'),
+                ('F ( A = "x" , B = "y" )', 'F ( A = "x" , C = "y" )'),
+                ('G ( A = "z" )', 'G ( A = "z" )'),
             ],
             0.5, (2, 0, 0), (2, 1, 1),
         ),
         (
             [
-                EvalPair('F ( A = G ( B = "x" ) )', 'F ( A = H ( B = "x" ) )'),
-                EvalPair("F ( )", "broken ("),
+                ('F ( A = G ( B = "x" ) )', 'F ( A = H ( B = "x" ) )'),
+                ("F ( )", "broken ("),
             ],
             0.0, (1, 1, 2), (1, 1, 1),
         ),
         (
-            [EvalPair("F ( )", "F ( )"), EvalPair("G ( )", "F ( )")],
+            [("F ( )", "F ( )"), ("G ( )", "F ( )")],
             0.5, (1, 1, 1), (0, 0, 0),
         ),
     ]
     for pairs, want_em, intents, slots in batches:
-        report = evaluate(pairs)
+        report = evaluate(genutil.parse_pairs(pairs))
         assert abs(report.exact_match - want_em) < 1e-9
         assert abs(report.intent_f1 - _f1(*intents)) < 1e-9
         assert abs(report.slot_f1 - _f1(*slots)) < 1e-9
-    perfect = evaluate([EvalPair('F ( A = "x" )', 'F(A="x")')])
+    perfect = evaluate(genutil.parse_pairs([('F ( A = "x" )', 'F(A="x")')]))
     assert perfect.exact_match == 1.0
     assert perfect.intent_f1 == 1.0 and perfect.slot_f1 == 1.0
     _ok("metrics match hand-counted TP/FP/FN on 5 batches")

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from apicheck.cli import main
+from apicheck import decode
+from apicheck.cli import build_parser, main
 from apicheck.spec import ApiSpec, save_spec
 from apicheck.decode import Vocab, save_vocab
 
@@ -68,6 +70,37 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+def test_main_builds_no_parser_after_the_first_call(monkeypatch, capsys):
+    assert main(["parse", "F ( )"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw) or init(self, *a, **kw))
+    assert main(["parse", "F ( )"]) == 0
+    assert main(["flatten", "F ( )"]) == 0
+    assert built == []
+
+
+def test_usage_error_after_a_successful_call(capsys):
+    assert main(["parse", "F ( )"]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["mask", "--spec", "spec.json"])  # no --vocab
+    assert err.value.code == 2
+    assert main(["parse", "F ( )"]) == 0
+
+
+def test_shared_parser_keeps_no_values_between_calls():
+    decode_argv = ["--spec", "s.json", "--vocab", "v.tsv"]
+    parser = build_parser()
+    first = parser.parse_args(["mask", *decode_argv, "--max-depth", "9", "--state-trace"])
+    assert (first.max_depth, first.state_trace) == (9, True)
+    for command in ("mask", "decode-sim"):
+        args = parser.parse_args([command, *decode_argv])
+        assert args.max_string_len == decode.DEFAULT_MAX_STRING_LEN
+        assert args.max_depth == decode.DEFAULT_MAX_DEPTH
+    assert not parser.parse_args(["mask", *decode_argv]).state_trace
 
 
 @pytest.mark.parametrize("argv, code", [

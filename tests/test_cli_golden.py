@@ -131,6 +131,13 @@ def _argv(command, tmp_path):
             "prompt-embeddings": ["prompt", *pool, "--query", "e2", "--query-text",
                                   "wake me at noon", "--k", "2", "--embeddings", str(emb)],
         }[command]
+    if command in ("decode-sim", "mask"):
+        vocab = tmp_path / "vocab.tsv"
+        save_vocab(genutil.char_vocab(SPEC), vocab)
+        decode = ["--spec", str(spec), "--vocab", str(vocab)]
+        if command == "decode-sim":
+            return ["decode-sim", *decode, "--runs", "3"]
+        return ["mask", *decode, "--state-trace", "--max-steps", "12"]
     assert command == "sample-spis"
     return ["sample-spis", "--in", _jsonl(tmp_path / "spis.jsonl", SPIS_RECORDS),
             "--n", "1", "--seed", "3"]
@@ -138,7 +145,7 @@ def _argv(command, tmp_path):
 
 @pytest.mark.parametrize("command", ["parse", "flatten", "check", "eval", "derive-spec", "convert-top", "sample-spis",
                                      "retrieve", "prompt", "retrieve-embeddings",
-                                     "prompt-embeddings"])
+                                     "prompt-embeddings", "decode-sim", "mask"])
 def test_stdout_matches_golden(command, tmp_path, capsys):
     assert main(_argv(command, tmp_path)) == 0
     expected = (GOLDEN / f"{command}.out").read_text(encoding="utf-8")
@@ -324,8 +331,11 @@ def test_each_scored_string_is_parsed_once(tmp_path, capsys, parse_calls):
     assert main(_argv("eval", tmp_path)) == 0
     assert len(parse_calls) == 2 * len(PAIRS)
     parse_calls.clear()
-    metrics.evaluate([metrics.EvalPair(p["gold"], p["predicted"]) for p in PAIRS])
+    calls = genutil.parse_pairs([(p["gold"], p["predicted"]) for p in PAIRS])
     assert len(parse_calls) == 2 * len(PAIRS)
+    parse_calls.clear()
+    metrics.evaluate(calls)
+    assert not parse_calls
 
 
 def test_eval_leaves_no_reference_cycles_through_reports(tmp_path, capsys):

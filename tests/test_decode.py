@@ -13,6 +13,7 @@ from apicheck.constraints import check
 from apicheck.decode import (
     _ESCAPES,
     _next_chars,
+    DEFAULT_MAX_DEPTH,
     DecodeSession,
     DecodeState,
     DisallowedTokenError,
@@ -221,6 +222,13 @@ def test_new_session_rejects_names_that_are_not_identifiers(vocab_texts):
     assert str(err.value) == "names are not identifiers: 1A, A-B, TWO WORDS, get"
 
 
+def test_new_session_requires_a_depth_bound():
+    vocab = genutil.char_vocab(GET_ALARMS_SPEC)
+    assert new_session(GET_ALARMS_SPEC, vocab).session.max_depth == DEFAULT_MAX_DEPTH
+    with pytest.raises(TypeError):
+        new_session(GET_ALARMS_SPEC, vocab, max_depth=None)
+
+
 def test_new_session_empty_spec():
     with pytest.raises(EmptySpecError):
         new_session(ApiSpec(), Vocab.from_texts(["A"]))
@@ -416,7 +424,7 @@ def _odd_vocab(spec, rng, style):
     st.integers(0, 10**6),
     st.sampled_from(["char", "merge", "span"]),
     st.integers(0, 5),
-    st.sampled_from([None, 1, 2]),
+    st.sampled_from([1000, 1, 2]),
 )
 def test_mask_index_matches_linear_scan(seed, style, max_string_len, max_depth):
     rng = random.Random(seed)
@@ -576,7 +584,7 @@ def test_walk_does_not_recurse_per_character_of_a_long_token(suffixes):
     nested = "F ( A = " * 200
     spec = ApiSpec(frozenset({"F"}), frozenset({"A"}), {"F": frozenset({"A"})})
     texts = [c for c in string.printable if c.isprintable()] + [nested + s for s in suffixes]
-    state = new_session(spec, Vocab.from_texts(texts))
+    state = new_session(spec, Vocab.from_texts(texts), 256, 201)
     allowed = allowed_tokens(state)
     assert allowed == scan_oracle(state)
     assert texts.index(nested) in allowed

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from apicheck.metrics import EvalPair, evaluate, evaluate_calls, intent_multiset, slot_multiset
+from apicheck.metrics import evaluate, intent_multiset, slot_multiset
 from apicheck.expr import flatten, parse, serialize
 from conftest import api_calls
+from genutil import parse_pairs
 
 
 def f1(tp, fp, fn):
@@ -19,17 +20,21 @@ def f1(tp, fp, fn):
     return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
+def score(pairs):
+    return evaluate(parse_pairs(pairs))
+
+
 def test_identical_pair():
-    report = evaluate([EvalPair('F ( A = "x" )', 'F ( A = "x" )')])
+    report = score([('F ( A = "x" )', 'F ( A = "x" )')])
     assert (report.exact_match, report.intent_f1, report.slot_f1) == (1.0, 1.0, 1.0)
 
 
 def test_whitespace_only_difference_matches():
-    assert evaluate([EvalPair('F ( A = "x" )', 'F(A="x")')]).exact_match == 1.0
+    assert score([('F ( A = "x" )', 'F(A="x")')]).exact_match == 1.0
 
 
 def test_unparseable_prediction():
-    report = evaluate([EvalPair('F ( A = "x" )', "broken (")])
+    report = score([('F ( A = "x" )', "broken (")])
     assert report.exact_match == 0.0
     # tp=0 fp=0 fn=1 for both intents and slots
     assert report.intent_f1 == pytest.approx(f1(0, 0, 1))
@@ -37,16 +42,16 @@ def test_unparseable_prediction():
 
 
 def test_right_intent_zero_slots():
-    report = evaluate([EvalPair('F ( A = "x" , B = "y" )', "F ( )")])
+    report = score([('F ( A = "x" , B = "y" )', "F ( )")])
     assert report.intent_f1 == 1.0
     # slot precision denominator empty with non-empty gold: treated as 0
     assert report.slot_f1 == pytest.approx(f1(0, 0, 2)) == 0.0
 
 
 def test_swapped_slot_name_batch():
-    report = evaluate([
-        EvalPair('F ( A = "x" , B = "y" )', 'F ( A = "x" , C = "y" )'),
-        EvalPair('G ( A = "z" )', 'G ( A = "z" )'),
+    report = score([
+        ('F ( A = "x" , B = "y" )', 'F ( A = "x" , C = "y" )'),
+        ('G ( A = "z" )', 'G ( A = "z" )'),
     ])
     # hand count: pair 1 slots tp=1 fp=1 fn=1; pair 2 tp=1
     assert report.slot_f1 == pytest.approx(f1(2, 1, 1))
@@ -55,14 +60,14 @@ def test_swapped_slot_name_batch():
 
 
 def test_both_empty_slots_is_perfect():
-    assert evaluate([EvalPair("F ( )", "F ( )")]).slot_f1 == 1.0
+    assert score([("F ( )", "F ( )")]).slot_f1 == 1.0
 
 
 def test_nested_value_contributes_child_function_name():
     gold = 'F ( A = G ( B = "x" ) )'
     slots = slot_multiset(flatten(parse(gold)))
     assert slots == {("A", "G"): 1, ("B", "x"): 1}
-    report = evaluate([EvalPair(gold, 'F ( A = H ( B = "x" ) )')])
+    report = score([(gold, 'F ( A = H ( B = "x" ) )')])
     # intents: gold {F,G} pred {F,H} -> tp=1 fp=1 fn=1
     assert report.intent_f1 == pytest.approx(f1(1, 1, 1))
     # slots: (A,G) vs (A,H) mismatch, (B,x) matches
@@ -72,12 +77,12 @@ def test_nested_value_contributes_child_function_name():
 def test_duplicate_intents_are_multiset_counted():
     gold = 'F ( A = F ( ) )'
     assert intent_multiset(flatten(parse(gold))) == {"F": 2}
-    assert evaluate([EvalPair(gold, "F ( )")]).intent_f1 == pytest.approx(f1(1, 0, 1))
+    assert score([(gold, "F ( )")]).intent_f1 == pytest.approx(f1(1, 0, 1))
 
 
 def test_evaluate_report_fields():
-    pairs = [EvalPair("F ( )", "F ( )"), EvalPair("F ( )", "broken")]
-    report = evaluate(pairs)
+    pairs = [("F ( )", "F ( )"), ("F ( )", "broken")]
+    report = score(pairs)
     assert report.n == 2
     assert report.exact_match == 0.5
     assert 0.0 <= report.intent_f1 <= 1.0
@@ -85,22 +90,21 @@ def test_evaluate_report_fields():
 
 
 def test_empty_pair_list_raises():
-    for score in (evaluate, evaluate_calls):
-        with pytest.raises(ValueError, match="requires at least one pair"):
-            score([])
+    with pytest.raises(ValueError, match="requires at least one pair"):
+        evaluate([])
 
 
 @given(st.lists(api_calls, min_size=1, max_size=5), st.randoms())
 def test_permutation_invariance(calls, rnd):
-    pairs = [EvalPair(serialize(c), serialize(c)) for c in calls]
+    pairs = [(serialize(c), serialize(c)) for c in calls]
     # corrupt half the predictions deterministically
     pairs = [
-        EvalPair(p.gold, "broken (" if i % 2 else p.predicted)
-        for i, p in enumerate(pairs)
+        (gold, "broken (" if i % 2 else predicted)
+        for i, (gold, predicted) in enumerate(pairs)
     ]
     shuffled = list(pairs)
     rnd.shuffle(shuffled)
-    report, shuffled_report = evaluate(pairs), evaluate(shuffled)
+    report, shuffled_report = score(pairs), score(shuffled)
     assert shuffled_report.exact_match == report.exact_match
     assert shuffled_report.intent_f1 == pytest.approx(report.intent_f1)
     assert shuffled_report.slot_f1 == pytest.approx(report.slot_f1)
@@ -108,5 +112,5 @@ def test_permutation_invariance(calls, rnd):
 
 @given(st.lists(api_calls, min_size=1, max_size=5))
 def test_exact_match_one_implies_perfect_f1(calls):
-    report = evaluate([EvalPair(serialize(c), serialize(c)) for c in calls])
+    report = score([(serialize(c), serialize(c)) for c in calls])
     assert (report.exact_match, report.intent_f1, report.slot_f1) == (1.0, 1.0, 1.0)

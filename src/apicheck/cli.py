@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("eval", _cmd_eval, "semantic-parsing metrics plus violation rates")
     p.add_argument("--spec", required=True)
-    p.add_argument("--pairs", required=True, help="JSONL with gold/predicted/utterance")
+    p.add_argument("--pairs", required=True, help="JSONL with gold/predicted")
 
     p = command("convert-top", _cmd_convert_top, "convert top_parse records to api_call records")
     p.add_argument("--in", dest="infile", required=True)

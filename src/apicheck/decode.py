@@ -549,9 +549,7 @@ def mock_decode(state: DecodeState, seed: int, max_steps: int = 4096) -> str:
 class OverheadReport:
     n_steps: int
     build_time_s: float
-    constrained_time_s: float
     constrained_per_step_s: float
-    baseline_time_s: float
     baseline_per_step_s: float
     ratio: float
 
@@ -589,11 +587,5 @@ def overhead_report(spec: ApiSpec, vocab: Vocab, n_steps: int, seed: int = 17) -
     per_constrained = constrained / n_steps
     per_baseline = baseline / n_steps if baseline > 0 else 1e-12  # floored so ratio is finite
     return OverheadReport(
-        n_steps,
-        build_time,
-        constrained,
-        per_constrained,
-        baseline,
-        per_baseline,
-        per_constrained / per_baseline,
+        n_steps, build_time, per_constrained, per_baseline, per_constrained / per_baseline
     )

@@ -7,8 +7,11 @@ Grammar:
     IDENT  := [A-Z_][A-Z0-9_]*
     STRING := double-quoted, escapes limited to \\" and \\\\
 
-Whitespace between tokens is ignored on parse. The canonical serialized
-form uses single spaces between all tokens, e.g. ``F ( A = "v" , B = G ( ) )``.
+Whitespace between tokens is ignored on parse. The parser is a recursive
+descent over offsets, one level per nested call: a name is one regex match
+with the whitespace after it, and so is a whole argument whose value is a
+string without escapes. The canonical serialized form uses single spaces
+between all tokens, e.g. ``F ( A = "v" , B = G ( ) )``.
 
 An argument is a ``(name, value)`` pair, and a value is a ``str`` or an
 ``ApiCall``. In the flat form a value is a ``str`` or the index of a child call.
@@ -40,9 +43,6 @@ def non_identifiers(names: Collection[str]) -> list[str]:
     if lines.count("\n") == len(names) and _IDENT_LINES.fullmatch(lines):
         return []
     return sorted({n for n in names if not is_identifier(n)})
-
-
-_WHITESPACE = " \t\n\r"
 
 
 class ParseErrorKind(enum.Enum):
@@ -82,108 +82,92 @@ class FlatCall:
     args: tuple[tuple[str, str | int], ...]
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# A name and the whitespace after it, so skipping whitespace costs no extra match.
+_NAME = re.compile(rf"({_IDENT.pattern})[ \t\n\r]*")
+# An argument's ``NAME =`` and, when its value is a string without escapes
+# followed by ``,`` or ``)``, the rest of the argument with the whitespace after it.
+_ARG = re.compile(
+    rf'({_IDENT.pattern})[ \t\n\r]*=[ \t\n\r]*(?:"([^"\\]*)"[ \t\n\r]*([,)])[ \t\n\r]*)?'
+)
+_WS = re.compile(r"[ \t\n\r]*")
+_RUN = re.compile(r'[^"\\]*')
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in _WHITESPACE:
-            self.pos += 1
 
-    def _peek(self) -> str | None:
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return None
-
-    def _fail(self, kind: ParseErrorKind, detail: str = "") -> None:
-        raise ParseError(kind, self.pos, detail)
-
-    def parse(self) -> ApiCall:
-        self._skip_ws()
-        if self._peek() is None:
-            self._fail(ParseErrorKind.EMPTY_INPUT)
-        call = self._parse_call()
-        self._skip_ws()
-        if self._peek() is not None:
-            self._fail(ParseErrorKind.TRAILING_INPUT)
-        return call
-
-    def _parse_ident(self) -> str:
-        m = _IDENT.match(self.text, self.pos)
-        if m is None:
-            self._fail(ParseErrorKind.BAD_IDENTIFIER, "expected identifier")
-        self.pos = m.end()
-        return m.group()
-
-    def _parse_call(self) -> ApiCall:
-        name = self._parse_ident()
-        self._skip_ws()
-        if self._peek() != "(":
-            self._fail(ParseErrorKind.UNEXPECTED_TOKEN, "expected '('")
-        self.pos += 1
-        self._skip_ws()
-        args: list[tuple[str, str | ApiCall]] = []
-        if self._peek() == ")":
-            self.pos += 1
-            return ApiCall(name, ())
-        while True:
-            if self._peek() is None:
-                self._fail(ParseErrorKind.UNBALANCED_PAREN, "unclosed call")
-            args.append(self._parse_arg())
-            self._skip_ws()
-            c = self._peek()
-            if c == ",":
-                self.pos += 1
-                self._skip_ws()
-            elif c == ")":
-                self.pos += 1
-                return ApiCall(name, tuple(args))
-            elif c is None:
-                self._fail(ParseErrorKind.UNBALANCED_PAREN, "unclosed call")
+def _call(text: str, pos: int) -> tuple[ApiCall, int]:
+    """The call at ``pos``, and the offset after its ``)`` and the whitespace after it."""
+    m = _NAME.match(text, pos)
+    if m is None:
+        raise ParseError(ParseErrorKind.BAD_IDENTIFIER, pos, "expected identifier")
+    pos = m.end()
+    if not text.startswith("(", pos):
+        raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, pos, "expected '('")
+    pos = _WS.match(text, pos + 1).end()
+    if text.startswith(")", pos):
+        return ApiCall(m.group(1), ()), _WS.match(text, pos + 1).end()
+    args: list[tuple[str, str | ApiCall]] = []
+    while True:
+        a = _ARG.match(text, pos)
+        if a is None:
+            if pos == len(text):
+                raise ParseError(ParseErrorKind.UNBALANCED_PAREN, pos, "unclosed call")
+            n = _NAME.match(text, pos)
+            if n is None:
+                raise ParseError(ParseErrorKind.BAD_IDENTIFIER, pos, "expected identifier")
+            raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, n.end(), "expected '='")
+        name, value, close = a.groups()
+        pos = a.end()
+        if close is None:
+            if text.startswith('"', pos):
+                value, pos = _string(text, pos + 1)
+            elif _IDENT.match(text, pos):
+                value, pos = _call(text, pos)
             else:
-                self._fail(ParseErrorKind.UNEXPECTED_TOKEN, "expected ',' or ')'")
+                raise ParseError(
+                    ParseErrorKind.UNEXPECTED_TOKEN, pos, "expected string or nested call"
+                )
+            close = text[pos : pos + 1]
+            if not close:
+                raise ParseError(ParseErrorKind.UNBALANCED_PAREN, pos, "unclosed call")
+            if close not in ",)":
+                raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, pos, "expected ',' or ')'")
+            pos = _WS.match(text, pos + 1).end()
+        args.append((name, value))
+        if close == ")":
+            return ApiCall(m.group(1), tuple(args)), pos
 
-    def _parse_arg(self) -> tuple[str, str | ApiCall]:
-        name = self._parse_ident()
-        self._skip_ws()
-        if self._peek() != "=":
-            self._fail(ParseErrorKind.UNEXPECTED_TOKEN, "expected '='")
-        self.pos += 1
-        self._skip_ws()
-        c = self._peek()
-        if c == '"':
-            return name, self._parse_string()
-        if _IDENT.match(self.text, self.pos):
-            return name, self._parse_call()
-        self._fail(ParseErrorKind.UNEXPECTED_TOKEN, "expected string or nested call")
-        raise AssertionError("unreachable")
 
-    def _parse_string(self) -> str:
-        self.pos += 1  # opening quote
-        out: list[str] = []
-        while True:
-            c = self._peek()
-            if c is None:
-                self._fail(ParseErrorKind.UNTERMINATED_STRING)
-            if c == '"':
-                self.pos += 1
-                return "".join(out)
-            if c == "\\":
-                self.pos += 1
-                e = self._peek()
-                if e not in ('"', "\\"):
-                    self._fail(ParseErrorKind.UNEXPECTED_TOKEN, "bad escape")
-                out.append(e)
-                self.pos += 1
-            else:
-                out.append(c)
-                self.pos += 1
+def _string(text: str, pos: int) -> tuple[str, int]:
+    """The string whose content starts at ``pos``, and the offset after its
+    closing quote and the whitespace after it."""
+    parts = []
+    while True:
+        run = _RUN.match(text, pos)
+        parts.append(run.group())
+        pos = run.end()
+        if text.startswith('"', pos):
+            return "".join(parts), _WS.match(text, pos + 1).end()
+        if pos == len(text):
+            raise ParseError(ParseErrorKind.UNTERMINATED_STRING, pos)
+        escaped = text[pos + 1 : pos + 2]  # pos holds a backslash
+        if escaped not in ('"', "\\"):
+            raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, pos + 1, "bad escape")
+        parts.append(escaped)
+        pos += 2
 
 
 def parse(text: str) -> ApiCall:
     """Parse an API-call expression; raises ParseError on malformed input."""
-    return _Parser(text).parse()
+    return _parse(text)
+
+
+def _parse(text: str) -> ApiCall:
+    pos = _WS.match(text).end()
+    if pos == len(text):
+        raise ParseError(ParseErrorKind.EMPTY_INPUT, pos)
+    call, pos = _call(text, pos)
+    if pos < len(text):
+        raise ParseError(ParseErrorKind.TRAILING_INPUT, pos)
+    return call
 
 
 def escape_string(text: str) -> str:

@@ -313,13 +313,13 @@ def test_exit_1_stderr(argv, expected, tmp_path, capsys):
 @pytest.fixture
 def parse_calls(monkeypatch):
     calls = []
-    original = expr._Parser.parse
+    original = expr._parse
 
-    def counted(self):
-        calls.append(self.text)
-        return original(self)
+    def counted(text):
+        calls.append(text)
+        return original(text)
 
-    monkeypatch.setattr(expr._Parser, "parse", counted)
+    monkeypatch.setattr(expr, "_parse", counted)
     return calls
 
 

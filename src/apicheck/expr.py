@@ -82,14 +82,15 @@ class FlatCall:
     args: tuple[tuple[str, str | int], ...]
 
 
+_SPACES = r"[ \t\n\r]*"
+_WS = re.compile(_SPACES)
 # A name and the whitespace after it, so skipping whitespace costs no extra match.
-_NAME = re.compile(rf"({_IDENT.pattern})[ \t\n\r]*")
+_NAME = re.compile(rf"({_IDENT.pattern}){_SPACES}")
 # An argument's ``NAME =`` and, when its value is a string without escapes
 # followed by ``,`` or ``)``, the rest of the argument with the whitespace after it.
 _ARG = re.compile(
-    rf'({_IDENT.pattern})[ \t\n\r]*=[ \t\n\r]*(?:"([^"\\]*)"[ \t\n\r]*([,)])[ \t\n\r]*)?'
+    rf'({_IDENT.pattern}){_SPACES}={_SPACES}(?:"([^"\\]*)"{_SPACES}([,)]){_SPACES})?'
 )
-_WS = re.compile(r"[ \t\n\r]*")
 _RUN = re.compile(r'[^"\\]*')
 
 
@@ -160,6 +161,8 @@ def parse(text: str) -> ApiCall:
     return _parse(text)
 
 
+# ``parse`` looks this up at each call, so a test can count the parses made
+# through every module's ``parse``.
 def _parse(text: str) -> ApiCall:
     pos = _WS.match(text).end()
     if pos == len(text):

@@ -52,7 +52,8 @@ def _cmd_derive_spec(args) -> int:
 
 def _cmd_check(args) -> int:
     loaded = apispec.load_spec(args.spec)
-    lines = Path(args.predictions).read_text(encoding="utf-8").splitlines()
+    # One prediction per "\n" line: a string value may hold "\x0c" or "\u2028".
+    lines = Path(args.predictions).read_text(encoding="utf-8").split("\n")
     reports = [constraints.check(line, loaded) for line in lines if line.strip()]
     if not reports:
         raise ValueError(f"{args.predictions}: no predictions")
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     decode_inputs.add_argument("--vocab", required=True)
     decode_inputs.add_argument("--seed", type=int, default=DEFAULT_SEED)
     limits = argparse.ArgumentParser(add_help=False, parents=[decode_inputs])
-    limits.add_argument("--max-steps", type=int, default=4096)
+    limits.add_argument("--max-steps", type=int, default=decode.DEFAULT_MAX_STEPS)
     limits.add_argument("--max-string-len", type=int, default=decode.DEFAULT_MAX_STRING_LEN)
     limits.add_argument("--max-depth", type=int, default=decode.DEFAULT_MAX_DEPTH)
     pool = argparse.ArgumentParser(add_help=False)

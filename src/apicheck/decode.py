@@ -17,18 +17,17 @@ a name, the empty one included, to the characters that may follow it, and a
 whole name is followed by ``" "``. ``ApiSpec`` guarantees that spec names are
 identifiers, so no name holds ``" "`` and every emitted name parses back.
 
-The mask does not step every token on its own. The session keeps the token
-texts sorted, so tokens sharing a prefix sit in one contiguous range: the mask
-walks that implicit trie, feeds each distinct next character to the automaton
-once, and skips a whole range at its first dead character. Inside a string, a
-token without a quote or backslash is allowed exactly when it fits the
-remaining length. So when the room left fits the longest such token, a step
-returns a view over the session's one shared set of them instead of a copy.
-Every other token is split at its first ``"`` or ``\\`` into a plain prefix
-and a tail: it survives when the prefix fits and its tail survives from the
-config the prefix leaves, so only the tails are stepped, once per distinct
-``(prefix length, tail)``. The trie walk hands a range that enters a string to
-the same rule, and so never recurses through string content.
+``advance`` and the mask share one survival rule, ``step_text``: it steps one
+character at a time, but plain string content (a ``[^"\\]*`` run, no escape
+pending) in one step, which survives exactly when it fits the room left. The
+mask walks the token texts, kept sorted, as an implicit trie: it feeds each
+distinct next character of a range to the automaton once and skips the whole
+range at its first dead character. Inside a string, a token without a quote or
+backslash is one run, so when the room fits the longest, a step returns a view
+over the session's one shared set of them, not a copy; every other token is
+grouped by its run's length and the rest, and one text per group is stepped.
+The walk steps a range that enters a string text by text, so it never recurses
+through string content.
 
 ``iter_steps`` is the one decode loop: ``mock_decode``, ``overhead_report`` and
 the CLI's ``mask`` step through it with their own choosers.
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import enum
 import random
-import re
 import time
 from bisect import bisect_left
 from collections.abc import Callable, Iterator, Set
@@ -47,15 +45,17 @@ from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
+from .expr import _RUN  # a plain run of string content: no quote, no backslash
 from .spec import ApiSpec
 
 _QUOTE = '"'
 _BACKSLASH = "\\"
-_CONTENT_STOP = re.compile(r'["\\]')
 # The default decode limits of sessions, ``overhead_report`` and the CLI: string
-# characters, and calls open at once. Both bounded, the config space is finite.
+# characters, calls open at once (both bounded, the config space is finite), and
+# tokens per ``mock_decode``.
 DEFAULT_MAX_STRING_LEN = 64
 DEFAULT_MAX_DEPTH = 3
+DEFAULT_MAX_STEPS = 4096
 # The trie walk recurses once per character; a range deeper than this, far
 # longer than any real token, is stepped text by text instead.
 _WALK_DEPTH = 256
@@ -173,7 +173,8 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> Vocab:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    # At "\n" only: str.splitlines also splits at "\x0c", "\u2028" and the like.
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     if not lines or not lines[0].startswith("eos_id\t"):
         raise VocabFormatError(f"{path}: first line must be 'eos_id<TAB>N'")
     try:
@@ -212,14 +213,6 @@ def _spellable(name: str, texts: set[str]) -> bool:
                 if name[i:j] in texts:
                     reached[j] = True
     return n > 0 and reached[n]
-
-
-def _split_plain(text: str) -> tuple[int, str]:
-    """``text`` as the length of its plain prefix, the characters before the
-    first ``"`` or ``\\``, and the rest, empty when there is no such character."""
-    stop = _CONTENT_STOP.search(text)
-    k = stop.start() if stop else len(text)
-    return k, text[k:]
 
 
 class _StringMask(Set):
@@ -298,18 +291,18 @@ class DecodeSession:
         self._texts = [text for _, text in spendable]
         # String content: plain_by_len[n] holds the ids of the length-n texts
         # with no quote or backslash, and _plain all of them, shared by every
-        # string step. _quoted groups every other token by _split_plain(text).
+        # string step. _quoted maps (plain-run length, rest) to a text and ids.
         self._plain_by_len: list[list[int]] = [[]]
-        quoted: dict[tuple[int, str], list[int]] = {}
+        self._quoted: dict[tuple[int, str], tuple[str, list[int]]] = {}
         for tid, text in spendable:
             if _QUOTE in text or _BACKSLASH in text:
-                quoted.setdefault(_split_plain(text), []).append(tid)
+                k = _RUN.match(text).end()
+                self._quoted.setdefault((k, text[k:]), (text, []))[1].append(tid)
                 continue
             while len(self._plain_by_len) <= len(text):
                 self._plain_by_len.append([])
             self._plain_by_len[len(text)].append(tid)
         self._plain = frozenset(tid for bucket in self._plain_by_len for tid in bucket)
-        self._quoted = [(k, tail, ids) for (k, tail), ids in quoted.items()]
 
     # -- character automaton ------------------------------------------------
 
@@ -377,10 +370,28 @@ class DecodeSession:
         return None
 
     def step_text(self, cfg, text: str):
-        for ch in text:
-            cfg = self._step_char(cfg, ch)
+        """``cfg`` after ``text``, or None if it dies; a plain string run is one step."""
+        if cfg[0] is not _M_STRING and _QUOTE not in text:  # no string content: no runs
+            for ch in text:
+                cfg = self._step_char(cfg, ch)
+                if cfg is None:
+                    return None
+            return cfg
+        pos, end = 0, len(text)
+        while pos < end:
+            if cfg[0] is _M_STRING and not cfg[6] and text[pos] not in '"\\':
+                stop = _RUN.match(text, pos).end()
+                str_len = cfg[5] + stop - pos
+                if str_len > self.max_string_len:
+                    return None
+                cfg = (_M_STRING, cfg[1], "", "", False, str_len, False)
+                if stop == end:
+                    return cfg
+                pos = stop
+            cfg = self._step_char(cfg, text[pos])
             if cfg is None:
                 return None
+            pos += 1
         return cfg
 
     # -- mask ---------------------------------------------------------------
@@ -392,16 +403,12 @@ class DecodeSession:
         have already taken the automaton to ``cfg``. The texts that go on with
         one character form one sub-range, found by bisection; the character is
         stepped once, and if it dies the whole sub-range is dropped. A
-        sub-range that enters a string goes to ``_walk_string``. Past
-        ``_WALK_DEPTH`` characters each text is stepped on its own, so the
-        recursion stays bounded.
+        sub-range that enters a string, and every range past ``_WALK_DEPTH``
+        characters, is stepped text by text, so the recursion stays bounded.
         """
-        texts = self._texts
         if depth > _WALK_DEPTH:
-            for i in range(lo, hi):
-                if self.step_text(cfg, texts[i][depth:]) is not None:
-                    out.append(self._ids[i])
-            return
+            return self._step_each(cfg, lo, hi, depth, out)
+        texts = self._texts
         while lo < hi and len(texts[lo]) == depth:
             out.append(self._ids[lo])
             lo += 1
@@ -414,45 +421,27 @@ class DecodeSession:
                 end = bisect_left(texts, text[:depth] + chr(ord(ch) + 1), lo, hi)
             nxt = self._step_char(cfg, ch)
             if nxt is not None:
-                walk = self._walk_string if nxt[0] is _M_STRING else self._walk
+                walk = self._step_each if nxt[0] is _M_STRING else self._walk
                 walk(nxt, lo, end, depth + 1, out)
             lo = end
 
-    def _walk_string(self, cfg, lo: int, hi: int, depth: int, out: list[int]) -> None:
-        """Append the ids in ``[lo, hi)`` whose text from ``depth`` on survives
-        from the InString ``cfg``, by the string rule of ``_survives_in_string``."""
+    def _step_each(self, cfg, lo: int, hi: int, depth: int, out: list[int]) -> None:
+        """Append the ids in ``[lo, hi)`` whose text from ``depth`` on survives, one by one."""
+        texts = self._texts
         for i in range(lo, hi):
-            k, tail = _split_plain(self._texts[i][depth:])
-            if self._survives_in_string(cfg, k, tail):
+            if self.step_text(cfg, texts[i][depth:]) is not None:
                 out.append(self._ids[i])
 
-    def _survives_in_string(self, cfg, k: int, tail: str) -> bool:
-        """Whether ``k`` plain characters, then ``tail``, survive from the
-        InString ``cfg``. ``tail`` is empty or starts with ``"`` or ``\\``.
-
-        The plain characters fit when the room left holds them and no escape
-        is pending; only ``tail`` is stepped, from the config they leave.
-        """
-        if k:
-            if cfg[6] or cfg[5] + k > self.max_string_len:
-                return False
-            cfg = (_M_STRING, cfg[1], "", "", False, cfg[5] + k, False)
-        return self.step_text(cfg, tail) is not None
-
     def _string_mask(self, cfg) -> Set[int]:
-        """The mask inside a string: the plain tokens that fit the room left,
-        and the quoted tokens whose tail survives, stepped once per group.
-
-        When the room fits the longest plain token, this is a ``_StringMask``
-        view over the shared ``_plain`` set; otherwise a frozenset.
-        """
+        """The mask inside a string: the plain tokens that fit the room left and
+        the quoted tokens whose group's text survives. A ``_StringMask`` view
+        over the shared ``_plain`` set when the room fits them all, else a
+        frozenset."""
         survivors: list[int] = []
-        for k, tail, ids in self._quoted:
-            if self._survives_in_string(cfg, k, tail):
+        for text, ids in self._quoted.values():
+            if self.step_text(cfg, text) is not None:
                 survivors += ids
-        room = self.max_string_len - cfg[5]
-        if cfg[6]:  # an escape is pending: only '"' or '\\' may follow
-            return frozenset(survivors)
+        room = 0 if cfg[6] else self.max_string_len - cfg[5]  # an escape admits no plain text
         if room >= len(self._plain_by_len) - 1:
             return _StringMask(self._plain, frozenset(survivors))
         return frozenset(survivors).union(*self._plain_by_len[1 : room + 1])
@@ -532,7 +521,7 @@ def iter_steps(
         state = advance(state, choose(ids))
 
 
-def mock_decode(state: DecodeState, seed: int, max_steps: int = 4096) -> str:
+def mock_decode(state: DecodeState, seed: int, max_steps: int = DEFAULT_MAX_STEPS) -> str:
     """Stand-in sampler: from ``state``, uniform seeded choice over allowed tokens
     until Complete. Raises ``IncompleteDecodeError`` at a dead end or when
     ``max_steps`` tokens do not complete the call."""
@@ -558,9 +547,10 @@ def overhead_report(spec: ApiSpec, vocab: Vocab, n_steps: int, seed: int = 17) -
     """Mean per-step cost of mask+advance vs. an unconstrained sampling step.
 
     Sessions restart on completion until n_steps total steps are consumed.
-    Build time (name spellability check and prefix tables) is reported
-    separately from per-step time. The session takes the default decode
-    limits, ``DEFAULT_MAX_STRING_LEN`` and ``DEFAULT_MAX_DEPTH``.
+    Build time (the name spellability check, the prefix tables, the sorted
+    vocab trie and the string tables) is reported apart from per-step time.
+    The session takes the default decode limits, ``DEFAULT_MAX_STRING_LEN``
+    and ``DEFAULT_MAX_DEPTH``.
     """
     if n_steps <= 0:
         raise ValueError("n_steps must be positive")

@@ -154,6 +154,18 @@ def test_check_command(toy_files, tmp_path, capsys):
     assert "C_f violation rate: 50.00%" in out
 
 
+def test_check_reads_one_prediction_per_newline(toy_files, tmp_path, capsys):
+    # "\u2028" and "\x0c" are line boundaries to str.splitlines, not to the file.
+    spec_path, _vocab, _examples, _tmp = toy_files
+    preds = tmp_path / "preds.txt"
+    preds.write_text('GET_ALARMS ( DATE_TIME = "x\u2028y" )\n'
+                     'GET_ALARMS ( DATE_TIME = "a\x0cb" )\n', encoding="utf-8")
+    assert main(["check", "--spec", str(spec_path), str(preds)]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[:2] == ["1 1 1 1", "1 1 1 1"]
+    assert "C_s violation rate: 0.00%" in lines[2]
+
+
 def test_eval_command(toy_files, tmp_path, capsys):
     spec_path, _vocab, _examples, _tmp = toy_files
     pairs = tmp_path / "pairs.jsonl"

@@ -370,17 +370,41 @@ def test_eos_only_when_complete():
 # -- the mask index against the linear scan ----------------------------------
 
 
-def scan_oracle(state):
-    """The linear scan the mask index replaced: step every spendable token's text."""
+def char_step(session, cfg, text):
+    """``text`` stepped one character at a time through the automaton, apart
+    from ``step_text`` and its runs: the config after it, or None."""
+    for ch in text:
+        cfg = session._step_char(cfg, ch)
+        if cfg is None:
+            return None
+    return cfg
+
+
+def scan_configs(state):
+    """The linear scan the mask index replaced: each spendable id whose text
+    survives ``char_step``, with the config it leaves."""
     session = state.session
     vocab = session.vocab
     if state.is_complete:
-        return {vocab.eos_id}
-    return {
-        tid
-        for tid, text in vocab.tokens
-        if tid != vocab.eos_id and text and session.step_text(state.config, text) is not None
-    }
+        return {vocab.eos_id: state.config}
+    ends = {tid: char_step(session, state.config, text)
+            for tid, text in vocab.tokens if tid != vocab.eos_id and text}
+    return {tid: cfg for tid, cfg in ends.items() if cfg is not None}
+
+
+def scan_oracle(state):
+    return set(scan_configs(state))
+
+
+def assert_mask_matches_scan(state):
+    """The mask is the scan's id set, and ``advance`` by each allowed id
+    leaves the config the scan found."""
+    allowed = allowed_tokens(state)
+    configs = scan_configs(state)
+    assert allowed == set(configs), (state.config, state.emitted)
+    for tid in allowed:
+        assert advance(state, tid).config == configs[tid], (state.config, tid)
+    return allowed
 
 
 # Quotes and backslashes at the start, middle and end; non-ASCII text, including
@@ -437,8 +461,7 @@ def test_mask_index_matches_linear_scan(seed, style, max_string_len, max_depth):
         state = new_session(spec, Vocab.from_texts(texts), max_string_len, max_depth)
     session = state.session
     for _ in range(60):
-        allowed = allowed_tokens(state)
-        assert allowed == scan_oracle(state), (state.config, state.emitted)
+        allowed = assert_mask_matches_scan(state)
         if state.is_complete or not allowed:
             break
         state = advance(state, rng.choice(sorted(allowed)))
@@ -446,8 +469,7 @@ def test_mask_index_matches_linear_scan(seed, style, max_string_len, max_depth):
         for str_len in range(max_string_len + 1):
             for esc in (False, True):
                 cfg = (Mode.IN_STRING, stack, "", "", False, str_len, esc)
-                in_string = DecodeState(session, cfg)
-                assert allowed_tokens(in_string) == scan_oracle(in_string), (str_len, esc)
+                assert_mask_matches_scan(DecodeState(session, cfg))
 
 
 def test_mask_steps_few_characters_of_a_large_vocab(monkeypatch):
@@ -694,9 +716,14 @@ def test_adversarial_chooser_is_clean_only_under_the_mask():
 # -- vocab file IO -----------------------------------------------------------
 
 
+# Line boundaries to str.splitlines, which token texts keep unescaped.
+UNICODE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def test_vocab_round_trip(tmp_path):
     escaped = [f"a{c}b" for c in _ESCAPES] + list(_ESCAPES) + ["".join(_ESCAPES)]
-    vocab = Vocab.from_texts(["GET", " ( ", "a\tb", "line\nbreak", "back\\slash"] + escaped)
+    breaks = [f"x{c}y" for c in UNICODE_BREAKS] + list(UNICODE_BREAKS)
+    vocab = Vocab.from_texts(["GET", " ( ", "a\tb", "line\nbreak", "back\\slash"] + escaped + breaks)
     path = tmp_path / "vocab.tsv"
     save_vocab(vocab, path)
     assert load_vocab(path) == vocab

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import ApiCall, ParseError, flatten, parse
+from .expr import ApiCall, ParseError, calls_in, parse
 from .spec import ApiSpec
 
 
@@ -33,6 +33,10 @@ class ViolationReport:
     parse_error: ParseError | None = None
 
 
+# Every call that meets all four constraints shares this report; it is immutable.
+_CLEAN = ViolationReport(ConstraintSignature(1, 1, 1, 1))
+
+
 @dataclass(frozen=True)
 class ViolationRates:
     structural: float
@@ -46,28 +50,23 @@ class ViolationRates:
 
 def check_call(call: ApiCall, spec: ApiSpec) -> ViolationReport:
     """Check an already-parsed call (structural bit is 1 by construction)."""
-    bad_fns: set[str] = set()
-    bad_args: set[str] = set()
-    bad_pairs: set[tuple[str, str]] = set()
-    for flat in flatten(call):
-        if flat.function not in spec.functions:
-            bad_fns.add(flat.function)
-        for name, _value in flat.args:
-            if name not in spec.arguments:
+    functions, arguments, args_for = spec.functions, spec.arguments, spec.associations.get
+    bad_fns, bad_args, bad_pairs = set(), set(), set()
+    for c in calls_in(call):
+        function = c.function
+        if function not in functions:
+            bad_fns.add(function)
+        valid = args_for(function, ())
+        for name, _value in c.args:
+            if name not in arguments:
                 bad_args.add(name)
-            if name not in spec.args_for(flat.function):
-                bad_pairs.add((flat.function, name))
-    sig = ConstraintSignature(
-        1,
-        int(not bad_fns),
-        int(not bad_args),
-        int(not bad_pairs),
-    )
+            if name not in valid:
+                bad_pairs.add((function, name))
+    if not (bad_fns or bad_args or bad_pairs):
+        return _CLEAN
+    sig = ConstraintSignature(1, int(not bad_fns), int(not bad_args), int(not bad_pairs))
     return ViolationReport(
-        sig,
-        tuple(sorted(bad_fns)),
-        tuple(sorted(bad_args)),
-        tuple(sorted(bad_pairs)),
+        sig, tuple(sorted(bad_fns)), tuple(sorted(bad_args)), tuple(sorted(bad_pairs))
     )
 
 

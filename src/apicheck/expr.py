@@ -199,6 +199,17 @@ def serialize(call: ApiCall) -> str:
     return " ".join(toks)
 
 
+def calls_in(call: ApiCall) -> list[ApiCall]:
+    """``call`` and every call nested in it, parents first; the scorers walk this
+    list, and the flat form is left to ``apicheck flatten``."""
+    out = [call]
+    for c in out:
+        for _, value in c.args:
+            if not isinstance(value, str):
+                out.append(value)
+    return out
+
+
 def _flatten_into(call: ApiCall, out: list[FlatCall | None]) -> int:
     idx = len(out)
     out.append(None)

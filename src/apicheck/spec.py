@@ -8,7 +8,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .expr import ApiCall, flatten, non_identifiers
+from .expr import ApiCall, calls_in, non_identifiers
 
 
 class SpecFormatError(ValueError):
@@ -65,17 +65,11 @@ class ApiSpec:
 
 def derive_from_corpus(calls: Iterable[ApiCall]) -> ApiSpec:
     """Collect functions, arguments, and associations seen anywhere in the corpus."""
-    functions: set[str] = set()
-    arguments: set[str] = set()
     associations: dict[str, set[str]] = {}
     for call in calls:
-        for flat in flatten(call):
-            functions.add(flat.function)
-            assoc = associations.setdefault(flat.function, set())
-            for name, _value in flat.args:
-                arguments.add(name)
-                assoc.add(name)
-    return ApiSpec(frozenset(functions), frozenset(arguments), associations)
+        for c in calls_in(call):
+            associations.setdefault(c.function, set()).update(name for name, _ in c.args)
+    return ApiSpec(frozenset(associations), frozenset().union(*associations.values()), associations)
 
 
 def dump_spec(spec: ApiSpec) -> str:

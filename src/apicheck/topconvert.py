@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .expr import ApiCall, ParseError, flatten, is_identifier, parse, serialize
+from .expr import ApiCall, ParseError, calls_in, is_identifier, parse, serialize
 
 
 class TopFormatError(ValueError):
@@ -96,11 +96,8 @@ class ExampleFormatError(ValueError):
 def _example_labels(example: Example) -> set[str]:
     if example.api_call is None:
         raise ExampleFormatError(f"example {example.id!r} has no api_call")
-    labels: set[str] = set()
-    for flat in flatten(parse(example.api_call)):
-        labels.add(flat.function)
-        labels.update(name for name, _ in flat.args)
-    return labels
+    calls = calls_in(parse(example.api_call))
+    return {c.function for c in calls} | {name for c in calls for name, _ in c.args}
 
 
 def spis_sample(examples: list[Example], n: int, seed: int) -> list[Example]:

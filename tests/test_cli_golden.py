@@ -310,20 +310,31 @@ def test_exit_1_stderr(argv, expected, tmp_path, capsys):
     assert err == "error: " + expected.replace("{tmp}", tmp) + "\n"
 
 
-@pytest.fixture
-def parse_calls(monkeypatch):
+def _counted(monkeypatch, name):
+    """The arguments of every call made to ``expr.<name>`` from now on."""
     calls = []
-    original = expr._parse
+    original = getattr(expr, name)
 
-    def counted(text):
-        calls.append(text)
-        return original(text)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(expr, "_parse", counted)
+    monkeypatch.setattr(expr, name, counted)
     return calls
 
 
-def test_each_scored_string_is_parsed_once(tmp_path, capsys, parse_calls):
+@pytest.fixture
+def parse_calls(monkeypatch):
+    return _counted(monkeypatch, "_parse")
+
+
+@pytest.fixture
+def flatten_calls(monkeypatch):
+    # ``flatten`` looks ``_flatten_into`` up at each call, wherever it was imported.
+    return _counted(monkeypatch, "_flatten_into")
+
+
+def test_each_scored_string_is_parsed_once(tmp_path, capsys, parse_calls, flatten_calls):
     n_preds = sum(1 for p in PREDICTIONS if p.strip())
     assert main(_argv("check", tmp_path)) == 0
     assert len(parse_calls) == n_preds
@@ -336,6 +347,10 @@ def test_each_scored_string_is_parsed_once(tmp_path, capsys, parse_calls):
     parse_calls.clear()
     metrics.evaluate(calls)
     assert not parse_calls
+    # Scoring walks the call tree: the flat form is built for ``apicheck flatten`` only.
+    assert not flatten_calls
+    assert main(_argv("flatten", tmp_path)) == 0
+    assert flatten_calls
 
 
 def test_eval_leaves_no_reference_cycles_through_reports(tmp_path, capsys):

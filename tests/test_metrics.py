@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from apicheck.metrics import evaluate, intent_multiset, slot_multiset
-from apicheck.expr import flatten, parse, serialize
+from apicheck.metrics import evaluate, intents_and_slots
+from apicheck.expr import parse, serialize
 from conftest import api_calls
 from genutil import parse_pairs
 
@@ -65,7 +67,7 @@ def test_both_empty_slots_is_perfect():
 
 def test_nested_value_contributes_child_function_name():
     gold = 'F ( A = G ( B = "x" ) )'
-    slots = slot_multiset(flatten(parse(gold)))
+    slots = Counter(intents_and_slots(parse(gold))[1])
     assert slots == {("A", "G"): 1, ("B", "x"): 1}
     report = score([(gold, 'F ( A = H ( B = "x" ) )')])
     # intents: gold {F,G} pred {F,H} -> tp=1 fp=1 fn=1
@@ -76,7 +78,7 @@ def test_nested_value_contributes_child_function_name():
 
 def test_duplicate_intents_are_multiset_counted():
     gold = 'F ( A = F ( ) )'
-    assert intent_multiset(flatten(parse(gold))) == {"F": 2}
+    assert Counter(intents_and_slots(parse(gold))[0]) == {"F": 2}
     assert score([(gold, "F ( )")]).intent_f1 == pytest.approx(f1(1, 0, 1))
 
 

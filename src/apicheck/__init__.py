@@ -17,7 +17,7 @@ from .decode import (
     new_session,
     overhead_report,
 )
-from .expr import ApiCall, FlatCall, ParseError, flatten, parse, serialize
+from .expr import ApiCall, ParseError, parse, serialize
 from .metrics import evaluate
 from .retrieval import (
     DemoIndex,
@@ -37,7 +37,6 @@ __all__ = [
     "DecodeState",
     "DemoIndex",
     "Example",
-    "FlatCall",
     "HashedBowEmbedder",
     "ParseError",
     "PrecomputedEmbedder",
@@ -52,7 +51,6 @@ __all__ = [
     "check_call",
     "derive_from_corpus",
     "evaluate",
-    "flatten",
     "load_spec",
     "mock_decode",
     "new_session",

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import constraints, decode, metrics, retrieval, spec as apispec, topconvert
-from .expr import ApiCall, ParseError, flatten, parse, serialize
+from .expr import ApiCall, ParseError, parse, serialize
 
 DEFAULT_SEED = 17
 DEFAULT_DESCRIPTION = (
@@ -30,13 +30,21 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def _flat_records(call: ApiCall, out: list[dict]) -> int:
+    """Append the JSON records of ``call`` and its nested calls to ``out`` in
+    pre-order, a nested call's value being its index; return ``call``'s index."""
+    rec = {"index": len(out), "function": call.function, "args": []}
+    out.append(rec)
+    for name, value in call.args:
+        arg = {"text": value} if isinstance(value, str) else {"child": _flat_records(value, out)}
+        rec["args"].append({"name": name, **arg})
+    return rec["index"]
+
+
 def _cmd_flatten(args) -> int:
-    for flat in flatten(parse(args.expression)):
-        rec = {"index": flat.index, "function": flat.function, "args": []}
-        for name, value in flat.args:
-            key = "text" if isinstance(value, str) else "child"
-            rec["args"].append({"name": name, key: value})
-        print(json.dumps(rec, sort_keys=True))
+    records: list[dict] = []
+    _flat_records(parse(args.expression), records)
+    print("\n".join(json.dumps(rec, sort_keys=True) for rec in records))
     return 0
 
 
@@ -52,8 +60,9 @@ def _cmd_derive_spec(args) -> int:
 
 def _cmd_check(args) -> int:
     loaded = apispec.load_spec(args.spec)
-    # One prediction per "\n" line: a string value may hold "\x0c" or "\u2028".
-    lines = Path(args.predictions).read_text(encoding="utf-8").split("\n")
+    # One prediction per "\n" line: a string value may hold "\r", "\x0c" or
+    # "\u2028". Read as bytes, since a text read would turn "\r" into "\n".
+    lines = Path(args.predictions).read_bytes().decode("utf-8").split("\n")
     reports = [constraints.check(line, loaded) for line in lines if line.strip()]
     if not reports:
         raise ValueError(f"{args.predictions}: no predictions")
@@ -279,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 1
 
 

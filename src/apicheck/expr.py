@@ -1,4 +1,4 @@
-"""API-call expression AST, parser, canonical serializer, and flattener.
+"""API-call expression AST, parser, and canonical serializer.
 
 Grammar:
 
@@ -14,7 +14,7 @@ string without escapes. The canonical serialized form uses single spaces
 between all tokens, e.g. ``F ( A = "v" , B = G ( ) )``.
 
 An argument is a ``(name, value)`` pair, and a value is a ``str`` or an
-``ApiCall``. In the flat form a value is a ``str`` or the index of a child call.
+``ApiCall``.
 """
 
 from __future__ import annotations
@@ -73,13 +73,6 @@ class ParseError(ValueError):
 class ApiCall:
     function: str
     args: tuple[tuple[str, str | ApiCall], ...] = ()
-
-
-@dataclass(frozen=True)
-class FlatCall:
-    index: int
-    function: str
-    args: tuple[tuple[str, str | int], ...]
 
 
 _SPACES = r"[ \t\n\r]*"
@@ -200,29 +193,11 @@ def serialize(call: ApiCall) -> str:
 
 
 def calls_in(call: ApiCall) -> list[ApiCall]:
-    """``call`` and every call nested in it, parents first; the scorers walk this
-    list, and the flat form is left to ``apicheck flatten``."""
+    """``call`` and every call nested in it, breadth-first (so parents come
+    first); the scorers walk this list."""
     out = [call]
     for c in out:
         for _, value in c.args:
             if not isinstance(value, str):
                 out.append(value)
     return out
-
-
-def _flatten_into(call: ApiCall, out: list[FlatCall | None]) -> int:
-    idx = len(out)
-    out.append(None)
-    args = [
-        (name, value if isinstance(value, str) else _flatten_into(value, out))
-        for name, value in call.args
-    ]
-    out[idx] = FlatCall(idx, call.function, tuple(args))
-    return idx
-
-
-def flatten(call: ApiCall) -> list[FlatCall]:
-    """Pre-order list of function calls; nested values become child indices."""
-    out: list[FlatCall | None] = []
-    _flatten_into(call, out)
-    return out  # type: ignore[return-value]

@@ -22,7 +22,7 @@ from apicheck.decode import (
     overhead_report,
     Vocab,
 )
-from apicheck.expr import ApiCall, parse, serialize
+from apicheck.expr import ApiCall, calls_in, parse, serialize
 from apicheck.metrics import evaluate
 from apicheck.retrieval import HashedBowEmbedder, build_index, build_prompt, retrieve_scored
 from apicheck.spec import ApiSpec, derive_from_corpus
@@ -369,12 +369,10 @@ def test_prompt_byte_exact_golden():
 
 
 def _labels(example):
-    from apicheck.expr import flatten
-
     labels = set()
-    for flat in flatten(parse(example.api_call)):
-        labels.add(flat.function)
-        labels.update(n for n, _ in flat.args)
+    for c in calls_in(parse(example.api_call)):
+        labels.add(c.function)
+        labels.update(n for n, _ in c.args)
     return labels
 
 

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import gc
 import importlib
+import io
 import json
 import os
 import string
@@ -8,13 +11,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from apicheck import decode
 from apicheck.cli import build_parser, main
+from apicheck.expr import ApiCall, parse, serialize
 from apicheck.spec import ApiSpec, save_spec
 from apicheck.decode import Vocab, save_vocab
 
 import genutil
+from conftest import api_calls
+from test_scoring_oracle import flatten as flatten_oracle
 
 
 @pytest.fixture
@@ -127,6 +134,103 @@ def test_flatten_command(capsys):
     assert lines[1] == {"index": 1, "function": "G", "args": []}
 
 
+def _flatten_stdout(expression: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["flatten", expression]) == 0
+    return out.getvalue()
+
+
+def _flatten_records(expression: str) -> list[dict]:
+    return [json.loads(line) for line in _flatten_stdout(expression).splitlines()]
+
+
+def test_flatten_single():
+    assert _flatten_records('F ( A = "x" )') == [
+        {"index": 0, "function": "F", "args": [{"name": "A", "text": "x"}]},
+    ]
+
+
+def test_flatten_fig1():
+    fig1 = ('GET_DIRECTIONS ( DESTINATION = GET_LOCATION ( CATEGORY_LOCATION = "auditorium" ) '
+            ', PATH = "1st ave" )')
+    assert _flatten_records(fig1) == [
+        {"index": 0, "function": "GET_DIRECTIONS",
+         "args": [{"name": "DESTINATION", "child": 1}, {"name": "PATH", "text": "1st ave"}]},
+        {"index": 1, "function": "GET_LOCATION",
+         "args": [{"name": "CATEGORY_LOCATION", "text": "auditorium"}]},
+    ]
+
+
+def test_flatten_leaves_no_reference_cycles():
+    # A recursive closure refers to itself through its cell, so every record it
+    # built would wait for the cyclic GC.
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert len(_flatten_records('F ( A = G ( B = "x" ) )')) == 2
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, dict) and "function" in o]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not cyclic
+
+
+def test_flatten_three_level_chain():
+    records = _flatten_records('F ( A = G ( B = H ( C = "x" ) ) )')
+    assert [r["function"] for r in records] == ["F", "G", "H"]
+    assert records[0]["args"] == [{"name": "A", "child": 1}]
+    assert records[1]["args"] == [{"name": "B", "child": 2}]
+    assert records[2]["args"] == [{"name": "C", "text": "x"}]
+
+
+def test_flatten_keeps_duplicate_argument_names():
+    [record] = _flatten_records('F ( A = "x" , A = "y" )')
+    assert record["args"] == [{"name": "A", "text": "x"}, {"name": "A", "text": "y"}]
+
+
+def _count_functions(call: ApiCall) -> int:
+    return 1 + sum(_count_functions(v) for _name, v in call.args if not isinstance(v, str))
+
+
+@given(api_calls)
+def test_flatten_structure(call):
+    records = _flatten_records(serialize(call))
+    assert len(records) == _count_functions(call)
+    assert [r["index"] for r in records] == list(range(len(records)))
+    referenced = []
+    for record in records:
+        for arg in record["args"]:
+            if "child" in arg:
+                assert arg["child"] > record["index"]
+                referenced.append(arg["child"])
+    # every non-root call is referenced by exactly one child index
+    assert sorted(referenced) == list(range(1, len(records)))
+
+
+def _flatten_oracle_stdout(call: ApiCall) -> str:
+    """What ``apicheck flatten`` printed when it rendered ``expr.flatten``'s list."""
+    lines = []
+    for flat in flatten_oracle(call):
+        rec = {"index": flat.index, "function": flat.function, "args": []}
+        for name, value in flat.args:
+            key = "text" if isinstance(value, str) else "child"
+            rec["args"].append({"name": name, key: value})
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+# Sibling nested calls, where pre-order and breadth-first numberings differ.
+@example(parse("F ( A = G ( C = H ( ) ) , B = K ( D = L ( ) ) )"))
+@settings(max_examples=200)
+@given(api_calls)
+def test_flatten_matches_the_flat_form_oracle(call):
+    assert _flatten_stdout(serialize(call)) == _flatten_oracle_stdout(call)
+
+
 def test_derive_spec_command(toy_files, capsys):
     _spec, _vocab, examples, _tmp = toy_files
     assert main(["derive-spec", "--examples", str(examples)]) == 0
@@ -155,15 +259,31 @@ def test_check_command(toy_files, tmp_path, capsys):
 
 
 def test_check_reads_one_prediction_per_newline(toy_files, tmp_path, capsys):
-    # "\u2028" and "\x0c" are line boundaries to str.splitlines, not to the file.
+    # "\u2028", "\x0c" and "\r" are line boundaries to str.splitlines, and "\r"
+    # to a text-mode read, not to the file.
     spec_path, _vocab, _examples, _tmp = toy_files
     preds = tmp_path / "preds.txt"
-    preds.write_text('GET_ALARMS ( DATE_TIME = "x\u2028y" )\n'
-                     'GET_ALARMS ( DATE_TIME = "a\x0cb" )\n', encoding="utf-8")
+    preds.write_bytes('GET_ALARMS ( DATE_TIME = "x\u2028y" )\n'
+                      'GET_ALARMS ( DATE_TIME = "a\x0cb" )\n'
+                      'GET_ALARMS ( DATE_TIME = "a\rb" )\n'.encode("utf-8"))
     assert main(["check", "--spec", str(spec_path), str(preds)]) == 0
     lines = capsys.readouterr().out.split("\n")
-    assert lines[:2] == ["1 1 1 1", "1 1 1 1"]
-    assert "C_s violation rate: 0.00%" in lines[2]
+    assert lines[:3] == ["1 1 1 1", "1 1 1 1", "1 1 1 1"]
+    assert "C_s violation rate: 0.00%" in lines[3]
+
+
+def test_check_reports_a_crlf_file_as_its_lf_twin(toy_files, tmp_path, capsys):
+    spec_path, _vocab, _examples, _tmp = toy_files
+    rows = ["GET_ALARMS ( )", 'SHOW_ALARMS ( DATE_TIME = "x" )', "broken (",
+            'GET_ALARMS ( DATE_TIME = "x" )', ""]
+    outputs = []
+    for newline in ("\n", "\r\n"):
+        preds = tmp_path / "preds.txt"
+        preds.write_bytes(newline.join(rows).encode("utf-8"))
+        assert main(["check", "--spec", str(spec_path), str(preds)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("1 1 1 1\n1 0 1 0")
 
 
 def test_eval_command(toy_files, tmp_path, capsys):

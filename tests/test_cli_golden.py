@@ -161,6 +161,11 @@ def test_out_file_matches_golden(command, tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == expected
 
 
+def _nested(depth):
+    """A call nested ``depth`` levels deep."""
+    return "F ( A = " * depth + "F ( )" + " )" * depth
+
+
 def _write_error_inputs(tmp):
     save_spec(SPEC, tmp / "spec.json")
     (tmp / "lowercase_spec.json").write_text(
@@ -174,6 +179,8 @@ def _write_error_inputs(tmp):
     save_vocab(Vocab.from_texts(texts), tmp / "no_y_vocab.tsv")
     (tmp / "bad_vocab.tsv").write_text("eos_id\tx\n", encoding="utf-8")
     (tmp / "preds.txt").write_text("".join(p + "\n" for p in PREDICTIONS), encoding="utf-8")
+    (tmp / "deep_preds.txt").write_text(_nested(2000) + "\n", encoding="utf-8")
+    _jsonl(tmp / "deep_pairs.jsonl", [{"gold": _nested(400), "predicted": _nested(400)}])
     (tmp / "blank.txt").write_text("\n \n", encoding="utf-8")
     for name, lines in {
         "invalid_json": ['{"gold": "F ( )"'],
@@ -208,6 +215,12 @@ ERROR_ROWS = [
      "UnbalancedParen at offset 3: unclosed call"),
     ("flatten-bad-expression", ["flatten", "F ("],
      "UnbalancedParen at offset 3: unclosed call"),
+    # Too deep for the parser's recursion (parse, check), or, at 400 levels, for
+    # the comparison of two equal calls (eval).
+    ("parse-deep-nesting", ["parse", _nested(2000)], "input nests too deeply"),
+    ("check-deep-nesting", ["check", *_SPEC, "{tmp}/deep_preds.txt"], "input nests too deeply"),
+    ("eval-deep-nesting", ["eval", *_SPEC, "--pairs", "{tmp}/deep_pairs.jsonl"],
+     "input nests too deeply"),
     ("missing-spec", ["check", "--spec", "{tmp}/nope.json", "{tmp}/preds.txt"],
      _NO_FILE + "'{tmp}/nope.json'"),
     ("malformed-spec", ["check", "--spec", "{tmp}/bad_spec.json", "{tmp}/preds.txt"],
@@ -328,13 +341,7 @@ def parse_calls(monkeypatch):
     return _counted(monkeypatch, "_parse")
 
 
-@pytest.fixture
-def flatten_calls(monkeypatch):
-    # ``flatten`` looks ``_flatten_into`` up at each call, wherever it was imported.
-    return _counted(monkeypatch, "_flatten_into")
-
-
-def test_each_scored_string_is_parsed_once(tmp_path, capsys, parse_calls, flatten_calls):
+def test_each_scored_string_is_parsed_once(tmp_path, capsys, parse_calls):
     n_preds = sum(1 for p in PREDICTIONS if p.strip())
     assert main(_argv("check", tmp_path)) == 0
     assert len(parse_calls) == n_preds
@@ -347,10 +354,8 @@ def test_each_scored_string_is_parsed_once(tmp_path, capsys, parse_calls, flatte
     parse_calls.clear()
     metrics.evaluate(calls)
     assert not parse_calls
-    # Scoring walks the call tree: the flat form is built for ``apicheck flatten`` only.
-    assert not flatten_calls
     assert main(_argv("flatten", tmp_path)) == 0
-    assert flatten_calls
+    assert len(parse_calls) == 1
 
 
 def test_eval_leaves_no_reference_cycles_through_reports(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import gc
 import re
 import string
 
@@ -8,10 +7,9 @@ import hypothesis.strategies as st
 
 from apicheck.expr import (
     ApiCall,
-    FlatCall,
     ParseError,
     ParseErrorKind,
-    flatten,
+    calls_in,
     is_identifier,
     non_identifiers,
     parse,
@@ -291,58 +289,6 @@ def test_serialize_canonical_fig1():
     assert serialize(parse(FIG1)) == FIG1
 
 
-def test_flatten_single():
-    call = ApiCall("F", (("A", "x"),))
-    assert flatten(call) == [FlatOf(0, "F", (("A", "x"),))]
-
-
-def FlatOf(index, function, args):
-    return FlatCall(index, function, args)
-
-
-def test_flatten_fig1():
-    flats = flatten(parse(FIG1))
-    assert flats == [
-        FlatOf(0, "GET_DIRECTIONS", (("DESTINATION", 1), ("PATH", "1st ave"))),
-        FlatOf(1, "GET_LOCATION", (("CATEGORY_LOCATION", "auditorium"),)),
-    ]
-
-
-def test_flatten_leaves_no_reference_cycles():
-    # A recursive closure refers to itself through its cell, so every list it
-    # built, FlatCalls included, would wait for the cyclic GC.
-    call = parse('F ( A = G ( B = "x" ) )')
-    gc.collect()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        assert len(flatten(call)) == 2
-        gc.collect()
-        cyclic = [o for o in gc.garbage if isinstance(o, FlatCall)]
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        gc.enable()
-    assert not cyclic
-
-
-def test_flatten_three_level_chain():
-    call = parse('F ( A = G ( B = H ( C = "x" ) ) )')
-    flats = flatten(call)
-    assert [f.function for f in flats] == ["F", "G", "H"]
-    assert flats[0].args == (("A", 1),)
-    assert flats[1].args == (("B", 2),)
-    assert flats[2].args == (("C", "x"),)
-
-
-def _count_functions(call: ApiCall) -> int:
-    total = 1
-    for _name, value in call.args:
-        if not isinstance(value, str):
-            total += _count_functions(value)
-    return total
-
-
 @given(api_calls)
 def test_round_trip(call):
     assert parse(serialize(call)) == call
@@ -354,22 +300,12 @@ def test_parse_deterministic(call):
     assert parse(text) == parse(text)
 
 
-@given(api_calls)
-def test_flatten_structure(call):
-    flats = flatten(call)
-    assert len(flats) == _count_functions(call)
-    assert [f.index for f in flats] == list(range(len(flats)))
-    referenced = []
-    for flat in flats:
-        for _name, value in flat.args:
-            if not isinstance(value, str):
-                assert value > flat.index
-                referenced.append(value)
-    # every non-root flat is referenced by exactly one child index
-    assert sorted(referenced) == list(range(1, len(flats)))
-
-
 def test_duplicate_argument_names_preserved():
     call = parse('F ( A = "x" , A = "y" )')
     assert call.args == (("A", "x"), ("A", "y"))
-    assert flatten(call)[0].args == (("A", "x"), ("A", "y"))
+
+
+def test_calls_in_is_breadth_first():
+    # Siblings come before grandchildren, unlike the pre-order of ``apicheck flatten``.
+    call = parse("F ( A = G ( C = H ( ) ) , B = K ( ) )")
+    assert [c.function for c in calls_in(call)] == ["F", "G", "K", "H"]

@@ -2,19 +2,47 @@
 
 ``check_call_oracle`` and ``evaluate_oracle`` (with ``intent_multiset``,
 ``slot_multiset`` and ``_micro_f1_oracle``) are the earlier ``constraints`` and
-``metrics`` code kept verbatim: they read names from ``expr.flatten`` and count
-multisets with ``Counter``.
+``metrics`` code kept verbatim: they read names from ``flatten`` and count
+multisets with ``Counter``. ``FlatCall``, ``_flatten_into`` and ``flatten`` are
+the earlier ``expr`` flat form kept verbatim; ``test_cli`` also renders
+``apicheck flatten``'s expected output from it.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from apicheck.constraints import ConstraintSignature, ViolationReport, check_call
-from apicheck.expr import ApiCall, FlatCall, flatten
+from apicheck.expr import ApiCall
 from apicheck.metrics import MetricsReport, evaluate
 from apicheck.spec import ApiSpec
+
+
+@dataclass(frozen=True)
+class FlatCall:
+    index: int
+    function: str
+    args: tuple[tuple[str, str | int], ...]
+
+
+def _flatten_into(call: ApiCall, out: list[FlatCall | None]) -> int:
+    idx = len(out)
+    out.append(None)
+    args = [
+        (name, value if isinstance(value, str) else _flatten_into(value, out))
+        for name, value in call.args
+    ]
+    out[idx] = FlatCall(idx, call.function, tuple(args))
+    return idx
+
+
+def flatten(call: ApiCall) -> list[FlatCall]:
+    """Pre-order list of function calls; nested values become child indices."""
+    out: list[FlatCall | None] = []
+    _flatten_into(call, out)
+    return out  # type: ignore[return-value]
 
 
 def check_call_oracle(call: ApiCall, spec: ApiSpec) -> ViolationReport:

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from apicheck.expr import ApiCall, flatten, is_identifier, parse, serialize
+from apicheck.expr import ApiCall, calls_in, is_identifier, parse, serialize
 from apicheck.topconvert import (
     Example,
     ExampleFormatError,
@@ -188,9 +188,9 @@ def test_to_api_call_mixed_slot_children():
 def test_to_api_call_never_invents_labels():
     for top in (SHOW_ALARMS_TOP, FIG1_TOP):
         call = top_to_call(top)
-        for flat in flatten(call):
-            assert f"[IN:{flat.function}" in top
-            for name, _value in flat.args:
+        for c in calls_in(call):
+            assert f"[IN:{c.function}" in top
+            for name, _value in c.args:
                 assert f"[SL:{name}" in top
 
 
@@ -308,9 +308,9 @@ def _pool():
 
 def _labels(example):
     labels = set()
-    for flat in flatten(parse(example.api_call)):
-        labels.add(flat.function)
-        labels.update(name for name, _ in flat.args)
+    for c in calls_in(parse(example.api_call)):
+        labels.add(c.function)
+        labels.update(name for name, _ in c.args)
     return labels
 
 

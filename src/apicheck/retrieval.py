@@ -86,7 +86,7 @@ class PrecomputedEmbedder:
 
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """Read ``id<TAB>v1,v2,...,vD`` line records."""
+    """Read ``id<TAB>v1,v2,...,vD`` line records, one per id."""
     out: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -96,6 +96,8 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected id<TAB>values")
             key, _, values = line.partition("\t")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate id {key!r}")
             try:
                 vec = np.array([float(x) for x in values.split(",")], dtype=np.float64)
             except ValueError as e:
@@ -114,39 +116,77 @@ def save_embeddings(vectors: Mapping[str, np.ndarray], path: str | Path) -> None
 
 @dataclass(frozen=True)
 class DemoIndex:
-    """The pool's embeddings as the rows of one (P, D) matrix, scaled to unit
-    length (a zero vector stays zero), in the order of ``examples``.
+    """The pool's embeddings, each scaled to unit length (a zero vector stays
+    zero), as one posting list per dimension: ``rows[d]`` holds the numbers of
+    the rows (in the order of ``examples``) that are nonzero in dimension ``d``,
+    ascending, and ``values[d]`` their values in it.
 
-    The matrix is column-major, so the pool's values in one dimension are
-    contiguous and a sparse query reads only the columns it is nonzero in."""
+    A dense pool, one with at least one nonzero in eight, is kept instead as one
+    column-major (P, D) ``matrix``; ``rows`` is None, and ``values[d]`` is the
+    matrix's column ``d``, so every row is listed. A sparse pool has no matrix."""
 
     examples: tuple[Example, ...]
-    vectors: np.ndarray
+    rows: tuple[np.ndarray, ...] | None
+    values: tuple[np.ndarray, ...]
+    matrix: np.ndarray | None
     embedder: Embedder
 
 
 def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
     if not examples:
         raise ValueError("cannot build an index over zero examples")
-    # Filled row by row: stacking a list of rows, or normalising the whole matrix
-    # at once, would briefly hold a second copy of the pool. A row is strided in
-    # this column-major matrix, so a dense pool fills slower (80 against 49 ms at
-    # 5,000 x 1,024); staging rows in a row-major block won back only part of that
-    # (64 ms), and only with a buffer of 128 rows.
-    vectors = np.empty((len(examples), embedder.dimension), dtype=np.float64, order="F")
-    for row, ex in zip(vectors, examples):
+    n, dim = len(examples), embedder.dimension
+    # The nonzeros of each unit row, until they show the pool to be dense. They
+    # then fill the matrix, whose remaining rows are written whole, so a dense
+    # pool never holds more than an eighth of its entries twice.
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    nonzeros = 0
+    matrix = None
+    for i, ex in enumerate(examples):
         vec = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
-        if len(vec) != embedder.dimension:
-            raise ValueError(
-                f"embedder dimension mismatch: {len(vec)} != {embedder.dimension}"
-            )
+        if len(vec) != dim:
+            raise ValueError(f"embedder dimension mismatch: {len(vec)} != {dim}")
         norm = np.linalg.norm(vec)
-        row[:] = vec / norm if norm > 0 else vec
-    return DemoIndex(tuple(examples), vectors, embedder)
+        unit = vec / norm if norm > 0 else vec
+        if matrix is not None:
+            matrix[i] = unit
+            continue
+        nz = np.flatnonzero(unit)
+        cols.append(nz.astype(np.int32))
+        vals.append(unit[nz])
+        nonzeros += len(nz)
+        if 8 * nonzeros >= n * dim:
+            matrix = np.zeros((n, dim), dtype=np.float64, order="F")
+            for row, (c, v) in enumerate(zip(cols, vals)):
+                matrix[row, c] = v
+            cols, vals = [], []
+    if matrix is not None:
+        return DemoIndex(tuple(examples), None, tuple(matrix.T), matrix, embedder)
+    # Sorting the nonzeros by dimension, stably, keeps each list's rows ascending.
+    flat_cols = np.concatenate(cols)
+    order = np.argsort(flat_cols, kind="stable")
+    rows = np.repeat(np.arange(n), [len(c) for c in cols])[order]
+    values = np.concatenate(vals)[order]
+    bounds = [0, *np.cumsum(np.bincount(flat_cols, minlength=dim)).tolist()]
+    spans = list(zip(bounds, bounds[1:]))
+    return DemoIndex(
+        tuple(examples),
+        tuple(rows[a:b] for a, b in spans),
+        tuple(values[a:b] for a, b in spans),
+        None,
+        embedder,
+    )
 
 
 def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Example, float]]:
     """Top-k entries by cosine similarity, most similar first.
+
+    For each nonzero dimension of the unit query, in ascending order, the
+    dimension's posting list times the query's value there is added into the
+    similarities, so a query reads only its own dimensions. On a dense pool, a
+    query with at least one dimension in eight nonzero takes the product with
+    the whole matrix instead.
 
     Similarities that are equal after rounding to 12 decimals are ties, and
     ties go by ascending id; the similarities returned are not rounded. A zero
@@ -158,18 +198,23 @@ def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Exam
     norm = np.linalg.norm(query)
     unit = query / norm if norm > 0 else query
     cols = np.flatnonzero(unit)
-    if 8 * len(cols) < len(unit):
-        # A sparse query (a hashed bag of words has a handful of nonzeros) reads
-        # only its own columns, one at a time: gathering them into one (P, n)
-        # copy first raised srd-prompt's peak memory by the largest copy. Per
-        # column this costs more than the whole product: on a 5,000 x 1,024
-        # index, 64, 128 and 192 columns took 0.42-0.54, 0.98-1.09 and
-        # 1.27-1.68 ms against 1.1-1.6 ms, so denser queries take the product.
-        sims = np.zeros(len(index.vectors))
-        for col in cols:
-            sims += index.vectors[:, col] * unit[col]
+    rows, values = index.rows, index.values
+    if rows is None and 8 * len(cols) >= len(unit):
+        sims = index.matrix @ unit
+    elif rows is not None and len(cols):
+        picked = cols.tolist()
+        hits = np.concatenate([rows[col] for col in picked])
+        products = np.concatenate([values[col] * w for col, w in zip(picked, unit[cols].tolist())])
+        # bincount adds the products in the order given, so each row sums its
+        # dimensions in ascending order, as the loop below does; when no row is
+        # hit, it returns integer zeros.
+        sims = np.bincount(hits, products, minlength=len(index.examples)).astype(
+            np.float64, copy=False
+        )
     else:
-        sims = index.vectors @ unit
+        sims = np.zeros(len(index.examples))
+        for col, weight in zip(cols.tolist(), unit[cols].tolist()):
+            sims += values[col] * weight
     rounded = np.round(sims, 12)
     candidates = range(len(sims))
     if k < len(sims):

@@ -200,6 +200,7 @@ def _write_error_inputs(tmp):
         "".join(f"{e['id']}\t1.0,{i}.0\n" for i, e in enumerate(EXAMPLES)), encoding="utf-8")
     (tmp / "bad_emb.tsv").write_text("e1\t1.0,x\n", encoding="utf-8")
     (tmp / "nonfinite_emb.tsv").write_text("e1\t1.0,2.0\ne2\tnan,1.0\n", encoding="utf-8")
+    (tmp / "dup_emb.tsv").write_text("e1\t1.0,0.0\ne2\t0.0,1.0\ne1\t0.0,1.0\n", encoding="utf-8")
 
 
 _SPEC = ["--spec", "{tmp}/spec.json"]
@@ -282,6 +283,9 @@ ERROR_ROWS = [
     ("nonfinite-embeddings",
      ["retrieve", *_POOL, "--query", "e1", "--k", "1", "--embeddings", "{tmp}/nonfinite_emb.tsv"],
      "{tmp}/nonfinite_emb.tsv:2: bad vector component"),
+    ("duplicate-embeddings-id",
+     ["retrieve", *_POOL, "--query", "e2", "--k", "1", "--embeddings", "{tmp}/dup_emb.tsv"],
+     "{tmp}/dup_emb.tsv:3: duplicate id 'e1'"),
     ("missing-desc-file",
      ["prompt", *_POOL, "--query", "alarms", "--k", "1", "--desc-file", "{tmp}/nope.txt"],
      _NO_FILE + "'{tmp}/nope.txt'"),

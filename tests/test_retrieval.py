@@ -1,6 +1,8 @@
 import hashlib
 import math
+import re
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -81,6 +83,15 @@ def test_embedder_caches_a_bounded_number_of_words(monkeypatch):
     assert np.array_equal(again, first)
 
 
+def _unit_rows(index):
+    """The (P, D) unit rows of a sparse pool, rebuilt from its posting lists."""
+    rows = np.zeros((len(index.examples), index.embedder.dimension))
+    for dim, (hits, values) in enumerate(zip(index.rows, index.values)):
+        assert np.all(np.diff(hits) > 0) and np.all(values != 0)
+        rows[hits, dim] = values
+    return rows
+
+
 def test_build_index_counts_and_duplicates():
     # 300 more rows, among them empty utterances, which give zero rows.
     rng = np.random.default_rng(11)
@@ -90,24 +101,46 @@ def test_build_index_counts_and_duplicates():
     emb = HashedBowEmbedder()
     index = build_index(pool, emb)
     assert len(index.examples) == 304
-    assert np.array_equal(index.vectors[0], index.vectors[3])
-    # Column-major, with each row scaled on its own, as row by row into a row-major matrix.
-    assert index.vectors.flags.f_contiguous
-    for row, ex in zip(index.vectors, pool):
+    # A sparse pool is held as posting lists only, each row scaled on its own.
+    assert index.matrix is None
+    rows = _unit_rows(index)
+    assert np.array_equal(rows[0], rows[3])
+    for row, ex in zip(rows, pool):
         vec = emb.embed(ex.utterance)
         norm = np.linalg.norm(vec)
-        assert np.array_equal(row, vec / norm if norm > 0 else vec)
+        assert row.tobytes() == (vec / norm if norm > 0 else vec).tobytes()
 
 
-def test_build_index_holds_one_copy_of_the_pool():
+def test_build_index_keeps_a_sparse_pool_as_posting_lists():
     pool = [Example(f"p{i}", "toy", f"word{i} show my alarms", "A ( )") for i in range(1000)]
+    emb = HashedBowEmbedder()
     tracemalloc.start()
     try:
-        index = build_index(pool, HashedBowEmbedder())
+        index = build_index(pool, emb)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * index.vectors.nbytes
+    assert index.matrix is None
+    assert peak < len(pool) * emb.dimension * 8 / 5
+
+
+def test_build_index_holds_one_copy_of_the_pool():
+    # A dense pool keeps the column-major matrix, and its columns are its lists.
+    rng = np.random.default_rng(5)
+    vectors = {f"p{i}": rng.standard_normal(1024) for i in range(1000)}
+    pool = _examples([(key, "u", "A ( )") for key in vectors])
+    emb = PrecomputedEmbedder(vectors)
+    tracemalloc.start()
+    try:
+        index = build_index(pool, emb)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * index.matrix.nbytes
+    assert index.rows is None and index.matrix.flags.f_contiguous
+    assert all(np.shares_memory(col, index.matrix) for col in index.values)
+    for row, key in zip(index.matrix, vectors):
+        assert np.array_equal(row, vectors[key] / np.linalg.norm(vectors[key]))
 
 
 def test_build_index_rejects_empty():
@@ -267,6 +300,107 @@ def test_retrieve_scored_matches_cosine_oracle_on_precomputed_vectors(case):
     pool = _examples([(i, "u", "A ( )") for i in ids])
     index = build_index(pool, PrecomputedEmbedder(vectors))
     _assert_matches_oracle(index, "?query", query, ids, rows, k)
+
+
+@dataclass(frozen=True)
+class _MatrixIndex:
+    examples: tuple
+    vectors: np.ndarray
+    embedder: object
+
+
+def _matrix_build_index(examples, embedder):
+    """The column-major (P, D) index the posting lists replaced, kept as an oracle."""
+    if not examples:
+        raise ValueError("cannot build an index over zero examples")
+    vectors = np.empty((len(examples), embedder.dimension), dtype=np.float64, order="F")
+    for row, ex in zip(vectors, examples):
+        vec = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
+        if len(vec) != embedder.dimension:
+            raise ValueError(
+                f"embedder dimension mismatch: {len(vec)} != {embedder.dimension}"
+            )
+        norm = np.linalg.norm(vec)
+        row[:] = vec / norm if norm > 0 else vec
+    return _MatrixIndex(tuple(examples), vectors, embedder)
+
+
+def _matrix_retrieve_scored(index, utterance, k):
+    """Ranking over ``_matrix_build_index``: a sparse query sums its columns, a
+    query with at least one dimension in eight nonzero takes the matrix product."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    query = index.embedder.embed(utterance)
+    norm = np.linalg.norm(query)
+    unit = query / norm if norm > 0 else query
+    cols = np.flatnonzero(unit)
+    if 8 * len(cols) < len(unit):
+        sims = np.zeros(len(index.vectors))
+        for col in cols:
+            sims += index.vectors[:, col] * unit[col]
+    else:
+        sims = index.vectors @ unit
+    rounded = np.round(sims, 12)
+    candidates = range(len(sims))
+    if k < len(sims):
+        kth = np.partition(rounded, len(sims) - k)[len(sims) - k]
+        candidates = np.flatnonzero(rounded >= kth).tolist()
+    examples = index.examples
+    best = sorted(candidates, key=lambda i: (-rounded[i], examples[i].id))[:k]
+    return [(examples[i], float(sims[i])) for i in best]
+
+
+def _assert_matches_matrix_oracle(pool, embedder, query, k):
+    index = build_index(pool, embedder)
+    oracle_index = _matrix_build_index(pool, embedder)
+    want = [(e.id, s) for e, s in _matrix_retrieve_scored(oracle_index, query, k)]
+    got = [(e.id, s) for e, s in retrieve_scored(index, query, k)]
+    if 8 * np.count_nonzero(embedder.embed(query)) < embedder.dimension:
+        # The oracle summed the query's columns, in the order the lists are read.
+        assert got == want
+        return
+    # The oracle took the matrix product, which may sum in another order; away
+    # from a rounding boundary, the order and similarities still agree.
+    everything = _matrix_retrieve_scored(oracle_index, query, len(pool))
+    assume(all(abs(abs(s) * 1e12 % 1 - 0.5) > 1e-3 for _e, s in everything))
+    assert [i for i, _s in got] == [i for i, _s in want]
+    assert all(abs(g - w) < 1e-12 for (_i, g), (_j, w) in zip(got, want))
+
+
+@given(_text_pools(), st.sampled_from([4, 16, 64, 1024]))
+@example((["show my", "", "show my", "rain"], ["b", "c", "a", "d"], "show my rain", 6), 1024)
+@example((["show my", "", "show my", "rain"], ["b", "c", "a", "d"], "show my rain", 6), 4)
+@example((["", ""], ["b", "a"], "", 3), 16)
+def test_posting_lists_match_the_matrix_oracle_on_hashed_pools(case, dimension):
+    # Duplicate and empty utterances and k above the pool size; at a small
+    # dimension both the pool and the query may be dense.
+    utterances, ids, query, k = case
+    pool = _examples([(i, u, "A ( )") for i, u in zip(ids, utterances)])
+    _assert_matches_matrix_oracle(pool, HashedBowEmbedder(dimension), query, k)
+
+
+@given(_vector_pools(), st.booleans())
+@example(([_at_64(0, 5), _at_64(5, 9, 63), _at_64(9), np.zeros(64)], ["a", "b", "c", "d"],
+          _at_64(9), 3), True)
+@example(([np.array([1.0, 1.0, 0.0]), np.array([0.3, 0.3, 0.0]), np.zeros(3)], ["b", "a", "c"],
+          np.array([1.0, 0.0, 0.0]), 4), False)
+def test_posting_lists_match_the_matrix_oracle_on_precomputed_pools(case, fill_query):
+    # Sparse pools at D=64 and dense ones at D=3, each with sparse and dense
+    # queries: a filled query has no zero left.
+    rows, ids, query, k = case
+    if fill_query:
+        query = np.where(query == 0, 1.0, query)
+    vectors = {"?query": query, **dict(zip(ids, rows))}
+    pool = _examples([(i, "u", "A ( )") for i in ids])
+    _assert_matches_matrix_oracle(pool, PrecomputedEmbedder(vectors), "?query", k)
+
+
+def test_load_embeddings_rejects_a_duplicate_id(tmp_path):
+    # The last vector would otherwise silently replace the first.
+    path = tmp_path / "vectors.tsv"
+    path.write_text("a\t1.0,0.0\nb\t0.0,1.0\na\t0.0,1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: duplicate id 'a'$"):
+        load_embeddings(path)
 
 
 @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])

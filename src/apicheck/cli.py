@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 bad input (parse failure, malformed file, out-of-range
 value, ...), 2 usage error. Machine-readable results go to stdout, diagnostics
-to stderr. Commands let library errors propagate; ``main`` is the one place that
-turns them into a single ``error:`` line and exit 1.
+to stderr. Commands let library errors propagate and return nothing on success;
+``main`` is the one place that decides the exit status: 0, or a single ``error:``
+line and 1. Only ``decode-sim`` returns a status, 1 when a run is incomplete.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ DEFAULT_DESCRIPTION = (
 )
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> None:
     print(serialize(parse(args.expression)))
-    return 0
 
 
 def _flat_records(call: ApiCall, out: list[dict]) -> int:
@@ -41,24 +41,22 @@ def _flat_records(call: ApiCall, out: list[dict]) -> int:
     return rec["index"]
 
 
-def _cmd_flatten(args) -> int:
+def _cmd_flatten(args) -> None:
     records: list[dict] = []
     _flat_records(parse(args.expression), records)
     print("\n".join(json.dumps(rec, sort_keys=True) for rec in records))
-    return 0
 
 
-def _cmd_derive_spec(args) -> int:
+def _cmd_derive_spec(args) -> None:
     examples = topconvert.load_examples(args.examples, require_api_call=True)
     derived = apispec.derive_from_corpus([parse(e.api_call) for e in examples])
     if args.out:
         apispec.save_spec(derived, args.out)
     else:
         print(apispec.dump_spec(derived))
-    return 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> None:
     loaded = apispec.load_spec(args.spec)
     # One prediction per "\n" line: a string value may hold "\r", "\x0c" or
     # "\u2028". Read as bytes, since a text read would turn "\r" into "\n".
@@ -69,10 +67,9 @@ def _cmd_check(args) -> int:
     for report in reports:
         print(constraints.format_report_line(report))
     print(constraints.format_summary(constraints.violation_rates(reports)))
-    return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     loaded = apispec.load_spec(args.spec)
     calls: list[tuple[ApiCall, ApiCall | None]] = []
     reports: list[constraints.ViolationReport] = []
@@ -96,26 +93,18 @@ def _cmd_eval(args) -> int:
     print(f"intent F1: {report.intent_f1:.4f}")
     print(f"slot F1: {report.slot_f1:.4f}")
     print(constraints.format_summary(rates))
-    return 0
 
 
-def _cmd_convert_top(args) -> int:
-    examples = topconvert.load_examples(args.infile)
-    converted = []
-    for example in examples:
-        try:
-            converted.append(topconvert.convert_example(example))
-        except topconvert.TopFormatError as e:
-            raise ValueError(f"example {example.id!r}: {e}") from e
+def _cmd_convert_top(args) -> None:
+    converted = [topconvert.convert_example(e) for e in topconvert.load_examples(args.infile)]
     if args.out:
         topconvert.write_examples(converted, args.out)
     else:
         for e in converted:
             print(topconvert.dump_example(e))
-    return 0
 
 
-def _cmd_sample_spis(args) -> int:
+def _cmd_sample_spis(args) -> None:
     examples = topconvert.load_examples(args.infile, require_api_call=True)
     sampled = topconvert.spis_sample(examples, args.n, args.seed)
     if args.out:
@@ -123,7 +112,6 @@ def _cmd_sample_spis(args) -> int:
     else:
         for e in sampled:
             print(topconvert.dump_example(dataclasses.replace(e, top_parse=None)))
-    return 0
 
 
 def _build_index(args) -> retrieval.DemoIndex:
@@ -136,14 +124,13 @@ def _build_index(args) -> retrieval.DemoIndex:
     return retrieval.build_index(pool, embedder)
 
 
-def _cmd_retrieve(args) -> int:
+def _cmd_retrieve(args) -> None:
     index = _build_index(args)
     for example, sim in retrieval.retrieve_scored(index, args.query, args.k):
         print(f"{example.id}\t{sim:.6f}\t{example.utterance}")
-    return 0
 
 
-def _cmd_prompt(args) -> int:
+def _cmd_prompt(args) -> None:
     index = _build_index(args)
     description = DEFAULT_DESCRIPTION
     if args.desc_file:
@@ -151,7 +138,6 @@ def _cmd_prompt(args) -> int:
     demos = retrieval.retrieve(index, args.query, args.k)
     query_text = args.query_text if args.query_text is not None else args.query
     print(retrieval.build_prompt(description, demos, query_text))
-    return 0
 
 
 def _load_decode(args) -> tuple[apispec.ApiSpec, decode.Vocab]:
@@ -183,23 +169,21 @@ def _cmd_decode_sim(args) -> int:
     return 0 if incomplete == 0 else 1
 
 
-def _cmd_mask(args) -> int:
+def _cmd_mask(args) -> None:
     if args.max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     walk = decode.iter_steps(_start_state(args), random.Random(args.seed).choice)
     for step, (_state, ids) in zip(range(args.max_steps if args.state_trace else 1), walk):
         print(f"{step}\t" + ",".join(str(i) for i in ids))
-    return 0
 
 
-def _cmd_overhead(args) -> int:
+def _cmd_overhead(args) -> None:
     report = decode.overhead_report(*_load_decode(args), args.steps, args.seed)
     print(f"steps: {report.n_steps}")
     print(f"build time: {report.build_time_s:.6f} s")
     print(f"constrained per-step: {report.constrained_per_step_s * 1e6:.3f} us")
     print(f"baseline per-step: {report.baseline_per_step_s * 1e6:.3f} us")
     print(f"ratio: {report.ratio:.3f}")
-    return 0
 
 
 @functools.cache
@@ -285,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # Every library input error, an unknown embedding id included, is a ValueError.
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

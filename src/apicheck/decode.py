@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import random
+import re
 import time
 from bisect import bisect_left
 from collections.abc import Callable, Iterator, Set
@@ -139,30 +140,25 @@ class VocabFormatError(ValueError):
     pass
 
 
+# The vocab TSV's escapes, each character to its two-character escape, and back.
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_UNESCAPES = {escape: c for c, escape in _ESCAPES.items()}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_ESCAPE = re.compile("|".join(map(re.escape, _UNESCAPES)))
+# Read from the left, an escaped text is plain characters and known escapes.
+_ESCAPED_TEXT = re.compile(f"(?:[^\\\\]|{_ESCAPE.pattern})*")
 
 
 def _escape_token(text: str) -> str:
-    return "".join(_ESCAPES.get(c, c) for c in text)
+    return text.translate(_ESCAPE_TABLE)
 
 
 def _unescape_token(text: str) -> str:
     if "\\" not in text:
         return text
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in _UNESCAPES:
-                raise VocabFormatError(f"bad escape in token text {text!r}")
-            out.append(_UNESCAPES[text[i + 1]])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    if not _ESCAPED_TEXT.fullmatch(text):
+        raise VocabFormatError(f"bad escape in token text {text!r}")
+    return _ESCAPE.sub(lambda m: _UNESCAPES[m[0]], text)
 
 
 def save_vocab(vocab: Vocab, path: str | Path) -> None:

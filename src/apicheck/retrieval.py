@@ -86,7 +86,7 @@ class PrecomputedEmbedder:
 
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """Read ``id<TAB>v1,v2,...,vD`` line records, one per id."""
+    """Read ``id<TAB>v1,v2,...,vD`` line records, one per id, all of the first one's length."""
     out: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -104,6 +104,10 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
                 raise ValueError(f"{path}:{lineno}: bad vector component") from e
             if not np.isfinite(vec).all():
                 raise ValueError(f"{path}:{lineno}: bad vector component")
+            if out and len(vec) != dim:
+                raise ValueError(
+                    f"{path}:{lineno}: vector length {len(vec)}, the first vector's is {dim}")
+            dim = len(vec)
             out[key] = vec
     return out
 

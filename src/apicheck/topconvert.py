@@ -90,7 +90,7 @@ class Example:
 
 
 class ExampleFormatError(ValueError):
-    """Malformed line-delimited JSON record file."""
+    """Malformed example record, or line-delimited JSON record file."""
 
 
 def _example_labels(example: Example) -> set[str]:
@@ -141,12 +141,16 @@ def iter_records(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def load_examples(path: str | Path, require_api_call: bool = False) -> list[Example]:
-    """Read line-delimited example records; validates api_call parses."""
+    """Read line-delimited example records; validates api_call parses and ids are unique."""
     out: list[Example] = []
+    ids: set[str] = set()
     for lineno, rec in iter_records(path):
         for key in ("id", "domain", "utterance"):
             if not isinstance(rec.get(key), str):
                 raise ExampleFormatError(f"{path}:{lineno}: missing string field {key!r}")
+        if rec["id"] in ids:
+            raise ExampleFormatError(f"{path}:{lineno}: duplicate id {rec['id']!r}")
+        ids.add(rec["id"])
         api_call = rec.get("api_call")
         top_parse = rec.get("top_parse")
         for key, value in (("api_call", api_call), ("top_parse", top_parse)):
@@ -182,10 +186,14 @@ def write_examples(examples: Iterable[Example], path: str | Path) -> None:
 
 
 def convert_example(example: Example) -> Example:
-    """Fill in api_call from the record's top_parse."""
+    """Fill in api_call from the record's top_parse. A malformed top_parse raises
+    ``ExampleFormatError`` naming the example, caused by the ``TopFormatError``."""
     if example.top_parse is None:
         raise ExampleFormatError(f"example {example.id!r} has no top_parse")
-    call = top_to_call(example.top_parse)
+    try:
+        call = top_to_call(example.top_parse)
+    except TopFormatError as e:
+        raise ExampleFormatError(f"example {example.id!r}: {e}") from e
     return Example(
         example.id, example.domain, example.utterance, serialize(call), example.top_parse
     )

@@ -355,6 +355,21 @@ def test_decode_sim_command(toy_files, capsys):
     assert "runs: 5 completed: 5 incomplete: 0" in out
 
 
+def test_decode_sim_exits_1_when_a_run_is_incomplete(toy_files, capsys):
+    # No call of the toy spec is two tokens of a character vocab long.
+    spec_path, vocab_path, _examples, _tmp = toy_files
+    args = [
+        "decode-sim", "--spec", str(spec_path), "--vocab", str(vocab_path),
+        "--runs", "3", "--max-steps", "2",
+    ]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("runs: 3 completed: 0 incomplete: 3\n")
+    lines = err.splitlines()
+    assert len(lines) == 3 and all(": INCOMPLETE " in line for line in lines)
+    assert [line.split(":")[0] for line in lines] == ["run 0", "run 1", "run 2"]
+
+
 def test_decode_sim_deterministic_stdout(toy_files, capsys):
     spec_path, vocab_path, _examples, _tmp = toy_files
     args = [

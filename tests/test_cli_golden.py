@@ -201,6 +201,8 @@ def _write_error_inputs(tmp):
     (tmp / "bad_emb.tsv").write_text("e1\t1.0,x\n", encoding="utf-8")
     (tmp / "nonfinite_emb.tsv").write_text("e1\t1.0,2.0\ne2\tnan,1.0\n", encoding="utf-8")
     (tmp / "dup_emb.tsv").write_text("e1\t1.0,0.0\ne2\t0.0,1.0\ne1\t0.0,1.0\n", encoding="utf-8")
+    (tmp / "ragged_emb.tsv").write_text("e1\t1.0,0.0\ne2\t0.0,1.0,2.0\n", encoding="utf-8")
+    _jsonl(tmp / "dup_ex.jsonl", EXAMPLES[:2] + [dict(EXAMPLES[2], id="e1")])
 
 
 _SPEC = ["--spec", "{tmp}/spec.json"]
@@ -286,6 +288,12 @@ ERROR_ROWS = [
     ("duplicate-embeddings-id",
      ["retrieve", *_POOL, "--query", "e2", "--k", "1", "--embeddings", "{tmp}/dup_emb.tsv"],
      "{tmp}/dup_emb.tsv:3: duplicate id 'e1'"),
+    ("inconsistent-embeddings",
+     ["retrieve", *_POOL, "--query", "e1", "--k", "1", "--embeddings", "{tmp}/ragged_emb.tsv"],
+     "{tmp}/ragged_emb.tsv:2: vector length 3, the first vector's is 2"),
+    ("duplicate-example-id",
+     ["retrieve", "--pool", "{tmp}/dup_ex.jsonl", "--query", "alarms", "--k", "1"],
+     "{tmp}/dup_ex.jsonl:3: duplicate id 'e1'"),
     ("missing-desc-file",
      ["prompt", *_POOL, "--query", "alarms", "--k", "1", "--desc-file", "{tmp}/nope.txt"],
      _NO_FILE + "'{tmp}/nope.txt'"),

@@ -12,7 +12,9 @@ import hypothesis.strategies as st
 from apicheck.constraints import check
 from apicheck.decode import (
     _ESCAPES,
+    _escape_token,
     _next_chars,
+    _unescape_token,
     DEFAULT_MAX_DEPTH,
     DecodeSession,
     DecodeState,
@@ -727,6 +729,49 @@ def test_vocab_round_trip(tmp_path):
     path = tmp_path / "vocab.tsv"
     save_vocab(vocab, path)
     assert load_vocab(path) == vocab
+
+
+# The character-by-character escape functions the table-driven ones replaced,
+# kept as the oracle.
+_ORACLE_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_ORACLE_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
+def _oracle_escape_token(text: str) -> str:
+    return "".join(_ORACLE_ESCAPES.get(c, c) for c in text)
+
+
+def _oracle_unescape_token(text: str) -> str:
+    if "\\" not in text:
+        return text
+    out = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "\\":
+            if i + 1 >= len(text) or text[i + 1] not in _ORACLE_UNESCAPES:
+                raise VocabFormatError(f"bad escape in token text {text!r}")
+            out.append(_ORACLE_UNESCAPES[text[i + 1]])
+            i += 2
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except VocabFormatError as e:
+        return ("error", str(e))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="\\tnra\t\n\r", max_size=12))
+def test_escapes_match_the_oracle(text):
+    assert _escape_token(text) == _oracle_escape_token(text)
+    assert _outcome(_unescape_token, text) == _outcome(_oracle_unescape_token, text)
+    assert _unescape_token(_escape_token(text)) == text
 
 
 @pytest.mark.parametrize(

@@ -403,6 +403,21 @@ def test_load_embeddings_rejects_a_duplicate_id(tmp_path):
         load_embeddings(path)
 
 
+def test_load_embeddings_rejects_a_vector_of_another_length(tmp_path):
+    # Blank lines are skipped, so the first vector need not be on line 1.
+    path = tmp_path / "vectors.tsv"
+    path.write_text("\na\t1.0,0.0\nb\t0.0,1.0\nc\t0.0,1.0,2.0\n", encoding="utf-8")
+    message = f"{path}:4: vector length 3, the first vector's is 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_embeddings(path)
+
+
+def test_precomputed_embedder_rejects_vectors_of_two_lengths():
+    vectors = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0, 2.0])}
+    with pytest.raises(ValueError, match=re.escape("inconsistent vector dimensions: [2, 3]")):
+        PrecomputedEmbedder(vectors)
+
+
 @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
 def test_load_embeddings_rejects_non_finite(tmp_path, component):
     path = tmp_path / "vectors.tsv"

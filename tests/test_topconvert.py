@@ -369,6 +369,9 @@ def test_load_empty_file(tmp_path):
         '{"id": "x"}',
         '{"id": "x", "domain": "d", "utterance": "u"}',
         '{"id": "x", "domain": "d", "utterance": "u", "api_call": "broken ("}',
+        # A repeated id: retrieval keys a precomputed vector by id, so this
+        # record would be ranked with the first one's vector.
+        '{"id": "ok", "domain": "d", "utterance": "v", "api_call": "F ( )"}',
     ],
 )
 def test_load_malformed_line_reports_line_number(tmp_path, line):
@@ -377,6 +380,16 @@ def test_load_malformed_line_reports_line_number(tmp_path, line):
     with pytest.raises(ExampleFormatError) as err:
         load_examples(path)
     assert ":2:" in str(err.value)
+
+
+def test_convert_example_names_the_example_of_a_malformed_top_parse():
+    top = "[IN:GET_ALARMS show"
+    with pytest.raises(ExampleFormatError) as err:
+        convert_example(Example("t1", "alarm", "show", None, top))
+    assert str(err.value) == "example 't1': unbalanced '[' at offset 19"
+    cause = err.value.__cause__
+    assert type(cause) is TopFormatError and cause.offset == 19 == len(top)
+    assert str(cause) == "unbalanced '[' at offset 19"
 
 
 def test_convert_example():

@@ -2,14 +2,17 @@
 
 The default embedder is a deterministic hashed bag-of-words (lowercased,
 punctuation-split tokens, fixed dimension, L2-normalized) so cosine ranking
-is fully reproducible without any neural model. Precomputed vectors can be
-ingested from an embeddings file keyed by example id for offline parity with
-a dense retriever.
+is fully reproducible without any neural model. ``build_index`` embeds a
+hashed pool in one batch, and a query goes through the same bucket rule, so
+a text has one vector whether it is in the pool or asked. Precomputed vectors
+can be ingested from an embeddings file keyed by example id for offline
+parity with a dense retriever.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +24,7 @@ from .topconvert import Example
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _MAX_CACHED_TOKENS = 1 << 14  # distinct words whose bucket one HashedBowEmbedder keeps
+_SCRATCH_ENTRIES = 1 << 16  # entries of the dense rows build_index lays out at once
 
 
 class Embedder(Protocol):
@@ -35,33 +39,57 @@ class EmbeddingLookupError(ValueError):
 
 
 class HashedBowEmbedder:
-    """Hashed bag-of-words embedder; same text always maps to the same vector."""
+    """Hashed bag-of-words embedder; same text always maps to the same vector.
+
+    Each lowercased word adds 1 to the bucket its SHA-1 picks, and the counts
+    are scaled to unit length. ``embed`` (one text, a query) and
+    ``embed_nonzeros`` (a whole pool, in one batch) take the buckets from the
+    same ``_bucket_ids``, so a text gets the same vector either way."""
 
     keyed_by_id = False
 
     def __init__(self, dimension: int = 1024):
+        if dimension < 1:
+            raise ValueError(f"embedding dimension must be >= 1, got {dimension}")
         self.dimension = dimension
         self._buckets: dict[str, int] = {}
 
-    def _index(self, token: str) -> int:
-        bucket = self._buckets.get(token)
-        if bucket is None:
-            digest = hashlib.sha1(token.encode("utf-8")).hexdigest()
-            bucket = int(digest, 16) % self.dimension
-            # A pool repeats its words, so each is hashed once, up to a bound
-            # that keeps an open vocabulary from growing the table without end.
-            if len(self._buckets) < _MAX_CACHED_TOKENS:
-                self._buckets[token] = bucket
+    def _bucket_ids(self, text: str) -> list[int]:
+        """The bucket of each word of ``text``, in order, repeats included."""
+        cached, miss = self._buckets.get, self._hash
+        words = _TOKEN_RE.findall(text.lower())
+        return [b if (b := cached(w)) is not None else miss(w) for w in words]
+
+    def _hash(self, token: str) -> int:
+        bucket = int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % self.dimension
+        # A pool repeats its words, so each is hashed once, up to a bound that
+        # keeps an open vocabulary from growing the table without end.
+        if len(self._buckets) < _MAX_CACHED_TOKENS:
+            self._buckets[token] = bucket
         return bucket
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in _TOKEN_RE.findall(text.lower()):
-            vec[self._index(token)] += 1.0
+        vec = np.bincount(self._bucket_ids(text), minlength=self.dimension).astype(np.float64)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
         return vec
+
+    def embed_nonzeros(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of ``embed(t)`` for each ``t`` in ``texts``, as three
+        arrays (row, dimension, value), ordered by row and then by dimension.
+
+        The counts' sums of squares are whole numbers, exact in any order, so
+        each row's length, and with it each value, is bitwise embed's."""
+        ids = [self._bucket_ids(t) for t in texts]
+        lengths = [len(row) for row in ids]
+        keys = np.fromiter(itertools.chain.from_iterable(ids), np.int64, sum(lengths))
+        keys += np.repeat(np.arange(len(texts), dtype=np.int64) * self.dimension, lengths)
+        keys, counts = np.unique(keys, return_counts=True)
+        rows, cols = np.divmod(keys, self.dimension)
+        counts = counts.astype(np.float64)
+        norms = np.sqrt(np.bincount(rows, counts * counts, minlength=len(texts)))
+        return rows, cols, counts / norms[rows]
 
 
 class PrecomputedEmbedder:
@@ -75,8 +103,11 @@ class PrecomputedEmbedder:
         dims = {len(v) for v in vectors.values()}
         if len(dims) != 1:
             raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
+        dimension = dims.pop()
+        if dimension < 1:
+            raise ValueError(f"embedding dimension must be >= 1, got {dimension}")
         self.vectors = {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()}
-        self.dimension = dims.pop()
+        self.dimension = dimension
 
     def embed(self, key: str) -> np.ndarray:
         try:
@@ -137,8 +168,67 @@ class DemoIndex:
 
 
 def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
+    """Embed the pool and scale each row to unit length.
+
+    A ``HashedBowEmbedder`` embeds the whole pool in one batch, through the
+    bucket rule its queries use; any other embedder, whose vectors may be
+    arbitrary and dense, is asked for one example at a time."""
     if not examples:
         raise ValueError("cannot build an index over zero examples")
+    n, dim = len(examples), embedder.dimension
+    if isinstance(embedder, HashedBowEmbedder):
+        rows, cols, values = embedder.embed_nonzeros([ex.utterance for ex in examples])
+        values = _scale_rows(rows, cols, values, n, dim)
+        matrix = None
+        if 8 * len(values) >= n * dim:
+            matrix = np.zeros((n, dim), dtype=np.float64, order="F")
+            matrix[rows, cols] = values
+    else:
+        rows, cols, values, matrix = _embed_each(examples, embedder)
+    if matrix is not None:
+        return DemoIndex(tuple(examples), None, tuple(matrix.T), matrix, embedder)
+    # Sorting the nonzeros by dimension, stably, keeps each list's rows ascending.
+    order = np.argsort(cols, kind="stable")
+    rows, values = rows[order], values[order]
+    bounds = [0, *np.cumsum(np.bincount(cols, minlength=dim)).tolist()]
+    spans = list(zip(bounds, bounds[1:]))
+    return DemoIndex(
+        tuple(examples),
+        tuple(rows[a:b] for a, b in spans),
+        tuple(values[a:b] for a, b in spans),
+        None,
+        embedder,
+    )
+
+
+def _scale_rows(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int, dim: int
+) -> np.ndarray:
+    """The nonzeros ``values``, ordered by row, each divided by its row's length.
+
+    ``np.linalg.norm`` takes a row's length as ``sqrt(x.dot(x))`` over all D
+    entries, and the dot's order of summation depends on where the nonzeros
+    sit. So the rows are laid out whole on a zeroed scratch, a block at a time,
+    and each one's length is taken the same way: bitwise the per-row one."""
+    block = max(1, min(n, _SCRATCH_ENTRIES // dim))
+    scratch = np.zeros((block, dim), dtype=np.float64)
+    squares: list[float] = []
+    ends = np.searchsorted(rows, np.arange(block, n + block, block)).tolist()
+    start = 0
+    for first, end in zip(range(0, n, block), ends):
+        at = (rows[start:end] - first, cols[start:end])
+        scratch[at] = values[start:end]
+        squares += [row.dot(row) for row in scratch[: min(block, n - first)]]
+        scratch[at] = 0.0
+        start = end
+    return values / np.sqrt(squares)[rows]
+
+
+def _embed_each(
+    examples: list[Example], embedder: Embedder
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """The unit rows of the pool as nonzeros (row, dimension, value), or, if
+    they show the pool to be dense, as one column-major (P, D) matrix."""
     n, dim = len(examples), embedder.dimension
     # The nonzeros of each unit row, until they show the pool to be dense. They
     # then fill the matrix, whose remaining rows are written whole, so a dense
@@ -152,10 +242,11 @@ def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
         if len(vec) != dim:
             raise ValueError(f"embedder dimension mismatch: {len(vec)} != {dim}")
         norm = np.linalg.norm(vec)
-        unit = vec / norm if norm > 0 else vec
         if matrix is not None:
-            matrix[i] = unit
+            # Divided straight into the matrix; a zero row is left as it is.
+            np.divide(vec, norm if norm > 0 else 1.0, out=matrix[i])
             continue
+        unit = vec / norm if norm > 0 else vec
         nz = np.flatnonzero(unit)
         cols.append(nz.astype(np.int32))
         vals.append(unit[nz])
@@ -166,21 +257,9 @@ def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
                 matrix[row, c] = v
             cols, vals = [], []
     if matrix is not None:
-        return DemoIndex(tuple(examples), None, tuple(matrix.T), matrix, embedder)
-    # Sorting the nonzeros by dimension, stably, keeps each list's rows ascending.
-    flat_cols = np.concatenate(cols)
-    order = np.argsort(flat_cols, kind="stable")
-    rows = np.repeat(np.arange(n), [len(c) for c in cols])[order]
-    values = np.concatenate(vals)[order]
-    bounds = [0, *np.cumsum(np.bincount(flat_cols, minlength=dim)).tolist()]
-    spans = list(zip(bounds, bounds[1:]))
-    return DemoIndex(
-        tuple(examples),
-        tuple(rows[a:b] for a, b in spans),
-        tuple(values[a:b] for a, b in spans),
-        None,
-        embedder,
-    )
+        return None, None, None, matrix
+    rows = np.repeat(np.arange(n), [len(c) for c in cols])
+    return rows, np.concatenate(cols), np.concatenate(vals), None
 
 
 def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Example, float]]:

@@ -395,6 +395,149 @@ def test_posting_lists_match_the_matrix_oracle_on_precomputed_pools(case, fill_q
     _assert_matches_matrix_oracle(pool, PrecomputedEmbedder(vectors), "?query", k)
 
 
+class _LoopHashedEmbedder:
+    """The hashed bag-of-words rule as one ``+=`` per word into a zero vector,
+    with no word cache, kept as an oracle for ``HashedBowEmbedder``."""
+
+    keyed_by_id = False
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+
+    def embed(self, text):
+        vec = np.zeros(self.dimension, dtype=np.float64)
+        for token in re.findall(r"[a-z0-9]+", text.lower()):
+            vec[int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % self.dimension] += 1.0
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+        return vec
+
+
+def _per_example_build_index(examples, embedder):
+    """The index built by embedding one example at a time, kept as an oracle."""
+    if not examples:
+        raise ValueError("cannot build an index over zero examples")
+    n, dim = len(examples), embedder.dimension
+    cols = []
+    vals = []
+    nonzeros = 0
+    matrix = None
+    for i, ex in enumerate(examples):
+        vec = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
+        if len(vec) != dim:
+            raise ValueError(f"embedder dimension mismatch: {len(vec)} != {dim}")
+        norm = np.linalg.norm(vec)
+        unit = vec / norm if norm > 0 else vec
+        if matrix is not None:
+            matrix[i] = unit
+            continue
+        nz = np.flatnonzero(unit)
+        cols.append(nz.astype(np.int32))
+        vals.append(unit[nz])
+        nonzeros += len(nz)
+        if 8 * nonzeros >= n * dim:
+            matrix = np.zeros((n, dim), dtype=np.float64, order="F")
+            for row, (c, v) in enumerate(zip(cols, vals)):
+                matrix[row, c] = v
+            cols, vals = [], []
+    if matrix is not None:
+        return DemoIndex(tuple(examples), None, tuple(matrix.T), matrix, embedder)
+    flat_cols = np.concatenate(cols)
+    order = np.argsort(flat_cols, kind="stable")
+    rows = np.repeat(np.arange(n), [len(c) for c in cols])[order]
+    values = np.concatenate(vals)[order]
+    bounds = [0, *np.cumsum(np.bincount(flat_cols, minlength=dim)).tolist()]
+    spans = list(zip(bounds, bounds[1:]))
+    return DemoIndex(
+        tuple(examples),
+        tuple(rows[a:b] for a, b in spans),
+        tuple(values[a:b] for a, b in spans),
+        None,
+        embedder,
+    )
+
+
+def _same_arrays(got, want):
+    """Both None, or as many arrays, pairwise of one dtype, shape and bytes."""
+    if got is None or want is None:
+        return got is None and want is None
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+@given(_text_pools(), st.sampled_from([4, 16, 64, 1024]), st.sampled_from([2, 1 << 14]))
+@example((["show my", "", "show my", "rain"], ["b", "c", "a", "d"], "", 1), 1024, 2)
+@example((["show my alarms play", "jazz rain show"], ["b", "a"], "", 1), 64, 2)
+@example((["", "", ""], ["b", "a", "c"], "", 1), 16, 1 << 14)
+@example((["show show show my", "play jazz jazz"], ["b", "a"], "", 1), 4, 1 << 14)
+@example((["my alarms jazz rain jazz", "", "play jazz my show show"], ["b", "a", "c"], "", 1),
+         1024, 1 << 14)
+@example((["show my jazz my rain", "rain"], ["b", "a"], "", 1), 16, 2)
+def test_batch_build_index_is_bitwise_the_per_example_build(case, dimension, cache_bound):
+    # Empty and duplicate utterances, an all-empty pool, dense pools at small
+    # dimensions, and a word cache that fills up in the middle of the batch.
+    # Rows of five words or more are where a row's length depends on the order
+    # its squares are summed in, which must be the dense dot's.
+    utterances, ids, _query, _k = case
+    pool = _examples([(i, u, "A ( )") for i, u in zip(ids, utterances)])
+    want = _per_example_build_index(pool, _LoopHashedEmbedder(dimension))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval, "_MAX_CACHED_TOKENS", cache_bound)
+        got = build_index(pool, HashedBowEmbedder(dimension))
+    assert _same_arrays(got.rows, want.rows)
+    assert _same_arrays(got.values, want.values)
+    assert _same_arrays(None if got.matrix is None else [got.matrix],
+                        None if want.matrix is None else [want.matrix])
+    assert got.matrix is None or got.matrix.flags.f_contiguous
+
+
+@given(_vector_pools())
+@example(([np.array([1.0, 1.0, 0.0]), np.zeros(3), np.array([0.3, -0.3, 2.0]), np.zeros(3)],
+          ["b", "a", "c", "d"], np.zeros(3), 1))
+def test_precomputed_build_index_is_bitwise_the_per_example_build(case):
+    # Dense pools at D=3 write their later rows, zero rows among them, straight
+    # into the matrix; sparse ones at D=64 keep posting lists.
+    rows, ids, _query, _k = case
+    emb = PrecomputedEmbedder(dict(zip(ids, rows)))
+    pool = _examples([(i, "u", "A ( )") for i in ids])
+    got, want = build_index(pool, emb), _per_example_build_index(pool, emb)
+    assert _same_arrays(got.rows, want.rows)
+    assert _same_arrays(got.values, want.values)
+    assert _same_arrays(None if got.matrix is None else [got.matrix],
+                        None if want.matrix is None else [want.matrix])
+
+
+@given(st.lists(st.one_of(st.text(), _phrases), min_size=1, max_size=6),
+       st.sampled_from([4, 1024]))
+@example(["", "?!, ...", "Show MY alarms!", "rain rain"], 1024)
+@example(["", "--"], 4)
+def test_query_embed_is_the_batch_row(texts, dimension):
+    # A query and a pool row share one rule: embed(t) is the dense form of t's
+    # row in the batch, byte for byte, and text with no word is a zero row.
+    emb = HashedBowEmbedder(dimension)
+    rows, cols, values = emb.embed_nonzeros(texts)
+    for i, text in enumerate(texts):
+        dense = np.zeros(dimension)
+        dense[cols[rows == i]] = values[rows == i]
+        assert emb.embed(text).tobytes() == dense.tobytes()
+        assert dense.tobytes() == _LoopHashedEmbedder(dimension).embed(text).tobytes()
+
+
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_hashed_embedder_rejects_a_dimension_below_one(dimension):
+    # It used to fail only at the first embed, with a ZeroDivisionError.
+    with pytest.raises(ValueError, match=f"^embedding dimension must be >= 1, got {dimension}$"):
+        HashedBowEmbedder(dimension)
+
+
+def test_precomputed_embedder_rejects_vectors_of_length_zero():
+    with pytest.raises(ValueError, match="^embedding dimension must be >= 1, got 0$"):
+        PrecomputedEmbedder({"a": np.array([]), "b": np.array([])})
+
+
 def test_load_embeddings_rejects_a_duplicate_id(tmp_path):
     # The last vector would otherwise silently replace the first.
     path = tmp_path / "vectors.tsv"

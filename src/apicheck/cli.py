@@ -49,7 +49,7 @@ def _cmd_flatten(args) -> None:
 
 def _cmd_derive_spec(args) -> None:
     examples = topconvert.load_examples(args.examples, require_api_call=True)
-    derived = apispec.derive_from_corpus([parse(e.api_call) for e in examples])
+    derived = apispec.derive_from_corpus([e.call for e in examples])
     if args.out:
         apispec.save_spec(derived, args.out)
     else:

@@ -69,7 +69,7 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApiCall:
     function: str
     args: tuple[tuple[str, str | ApiCall], ...] = ()

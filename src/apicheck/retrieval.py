@@ -100,13 +100,16 @@ class PrecomputedEmbedder:
     def __init__(self, vectors: Mapping[str, np.ndarray]):
         if not vectors:
             raise ValueError("precomputed embedder needs at least one vector")
-        dims = {len(v) for v in vectors.values()}
+        self.vectors = {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()}
+        for key, v in self.vectors.items():
+            if v.ndim != 1:
+                raise ValueError(f"vector {key!r} must be 1-D, got shape {v.shape}")
+        dims = {len(v) for v in self.vectors.values()}
         if len(dims) != 1:
             raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
         dimension = dims.pop()
         if dimension < 1:
             raise ValueError(f"embedding dimension must be >= 1, got {dimension}")
-        self.vectors = {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()}
         self.dimension = dimension
 
     def embed(self, key: str) -> np.ndarray:

@@ -1,13 +1,14 @@
 """TOP bracketed-parse handling: convert to API calls, SPIS sampling, IO.
 
 TOP format: ``[IN:LABEL ... ]`` / ``[SL:LABEL ... ]`` spans over whitespace
-separated utterance tokens. ``top_to_call`` converts a TOP string to an API
-call in one left-to-right pass, with no intermediate tree. Intent labels
-become function names, slot labels become argument names. A slot holding a
-nested intent becomes a nested call; a slot holding tokens becomes a string
-value of the tokens joined by single spaces (no stop-word trimming). Carrier
-tokens directly under an intent are dropped. Every malformed string raises
-``TopFormatError`` with the character offset where it was found.
+separated utterance tokens. ``top_to_call`` lexes a TOP string with one
+``findall`` and converts it to an API call in one pass, with no intermediate
+tree. Intent labels become function names, slot labels become argument names.
+A slot holding a nested intent becomes a nested call; a slot holding tokens
+becomes a string value of the tokens joined by single spaces (no stop-word
+trimming). Carrier tokens directly under an intent are dropped. Every malformed
+string raises ``TopFormatError`` with the character offset where it was found.
+An ``Example`` carries its parsed call, so each pool call is built once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -30,9 +32,14 @@ class TopFormatError(ValueError):
         self.offset = offset
 
 
-# One match per lexeme after optional whitespace: an opener with its label,
-# any other "[", a "]", or a token.
-_TOP_LEXEME = re.compile(r"\s*(?:(\[(?:IN|SL):)([^\s\[\]]*)|(\[)|(\])|([^\s\[\]]+))")
+# A lexeme is an opener with its label, any other "[", a "]", or a token. One
+# findall lists them: match objects cost about half the time of a pass.
+_TOP_LEXEME = re.compile(r"\[(?:IN|SL):[^\s\[\]]*|\[|\]|[^\s\[\]]+")
+
+
+def _lexeme_error(text: str, index: int, message: str, shift: int = 0) -> TopFormatError:
+    """The error ``shift`` characters into lexeme ``index``, found by a re-scan."""
+    return TopFormatError(message, list(_TOP_LEXEME.finditer(text))[index].start() + shift)
 
 
 def top_to_call(text: str) -> ApiCall:
@@ -41,38 +48,35 @@ def top_to_call(text: str) -> ApiCall:
     # Open spans as (is_intent, label, items): an intent's items are its
     # (slot, value) pairs, a slot's are its tokens and child calls.
     stack: list[tuple[bool, str, list]] = []
-    for m in _TOP_LEXEME.finditer(text):
-        opener, label, bad, close, token = m.groups()
-        if opener:
-            pos = m.start(1)
+    for i, lexeme in enumerate(_TOP_LEXEME.findall(text)):
+        if lexeme[0] == "[":
+            if lexeme == "[":
+                raise _lexeme_error(text, i, "bad bracket prefix (expected [IN: or [SL:)")
+            label = lexeme[4:]
             if not is_identifier(label):
-                raise TopFormatError(f"bad label {label!r}", m.start(2))
-            in_intent = bool(stack) and stack[-1][0]
-            if opener == "[IN:":
-                if in_intent:
-                    raise TopFormatError("intent nested directly under intent", pos)
-            elif not in_intent:
-                raise TopFormatError("slot must be nested under an intent", pos)
-            stack.append((opener == "[IN:", label, []))
-        elif bad:
-            raise TopFormatError("bad bracket prefix (expected [IN: or [SL:)", m.start(3))
-        elif close:
+                raise _lexeme_error(text, i, f"bad label {label!r}", 4)
+            is_intent = lexeme[1] == "I"
+            if is_intent == (bool(stack) and stack[-1][0]):
+                raise _lexeme_error(text, i, "intent nested directly under intent" if is_intent
+                                    else "slot must be nested under an intent")
+            stack.append((is_intent, sys.intern(label), []))
+        elif lexeme == "]":
             if not stack:
-                raise TopFormatError("unbalanced ']'", m.start(4))
+                raise _lexeme_error(text, i, "unbalanced ']'")
             is_intent, label, items = stack.pop()
             if is_intent:
                 (stack[-1][2] if stack else roots).append(ApiCall(label, tuple(items)))
                 continue
             calls = [item for item in items if isinstance(item, ApiCall)]
             if len(calls) > 1:
-                raise TopFormatError("slot with multiple intent children", m.start(4))
+                raise _lexeme_error(text, i, "slot with multiple intent children")
             if calls and len(items) > 1:
-                raise TopFormatError(f"slot {label!r} mixes intent and token children", m.start(4))
+                raise _lexeme_error(text, i, f"slot {label!r} mixes intent and token children")
             stack[-1][2].append((label, calls[0] if calls else " ".join(items)))
         elif not stack:
-            raise TopFormatError("token outside brackets", m.start(5))
+            raise _lexeme_error(text, i, "token outside brackets")
         elif not stack[-1][0]:
-            stack[-1][2].append(token)  # intents drop their carrier tokens
+            stack[-1][2].append(lexeme)  # intents drop their carrier tokens
     if stack:
         raise TopFormatError("unbalanced '['", len(text))
     if len(roots) != 1:
@@ -80,13 +84,20 @@ def top_to_call(text: str) -> ApiCall:
     return roots[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
     id: str
     domain: str
     utterance: str
     api_call: str | None = None
     top_parse: str | None = None
+    # ``parse(api_call)``, parsed here unless passed in; left out of ==, hash, repr
+    # and the JSONL. ``replace`` keeps it, so pass ``call=None`` with a new api_call.
+    call: ApiCall | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.call is None and self.api_call is not None:
+            object.__setattr__(self, "call", parse(self.api_call))
 
 
 class ExampleFormatError(ValueError):
@@ -94,9 +105,9 @@ class ExampleFormatError(ValueError):
 
 
 def _example_labels(example: Example) -> set[str]:
-    if example.api_call is None:
+    if example.call is None:
         raise ExampleFormatError(f"example {example.id!r} has no api_call")
-    calls = calls_in(parse(example.api_call))
+    calls = calls_in(example.call)
     return {c.function for c in calls} | {name for c in calls for name, _ in c.args}
 
 
@@ -160,23 +171,19 @@ def load_examples(path: str | Path, require_api_call: bool = False) -> list[Exam
             raise ExampleFormatError(f"{path}:{lineno}: record needs api_call or top_parse")
         if require_api_call and api_call is None:
             raise ExampleFormatError(f"{path}:{lineno}: record lacks api_call")
-        if api_call is not None:
-            try:
-                parse(api_call)
-            except ParseError as e:
-                raise ExampleFormatError(f"{path}:{lineno}: api_call does not parse ({e})") from e
-        out.append(Example(rec["id"], rec["domain"], rec["utterance"], api_call, top_parse))
+        try:
+            call = None if api_call is None else parse(api_call)
+        except ParseError as e:
+            raise ExampleFormatError(f"{path}:{lineno}: api_call does not parse ({e})") from e
+        out.append(Example(rec["id"], rec["domain"], rec["utterance"], api_call, top_parse, call))
     return out
 
 
 def dump_example(e: Example) -> str:
     """One JSONL record without the newline; absent api_call/top_parse are left out."""
-    rec = {"id": e.id, "domain": e.domain, "utterance": e.utterance}
-    if e.api_call is not None:
-        rec["api_call"] = e.api_call
-    if e.top_parse is not None:
-        rec["top_parse"] = e.top_parse
-    return json.dumps(rec, sort_keys=True)
+    rec = {"id": e.id, "domain": e.domain, "utterance": e.utterance,
+           "api_call": e.api_call, "top_parse": e.top_parse}
+    return json.dumps({k: v for k, v in rec.items() if v is not None}, sort_keys=True)
 
 
 def write_examples(examples: Iterable[Example], path: str | Path) -> None:
@@ -195,5 +202,5 @@ def convert_example(example: Example) -> Example:
     except TopFormatError as e:
         raise ExampleFormatError(f"example {example.id!r}: {e}") from e
     return Example(
-        example.id, example.domain, example.utterance, serialize(call), example.top_parse
+        example.id, example.domain, example.utterance, serialize(call), example.top_parse, call
     )

@@ -1,6 +1,8 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
+from apicheck import expr
 from apicheck.expr import ApiCall
 
 settings.register_profile("default", max_examples=50, deadline=None)
@@ -30,3 +32,18 @@ api_calls = st.builds(
     identifiers,
     st.lists(st.tuples(identifiers, values), max_size=6),
 )
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The arguments of every parse made from now on: every module's ``parse``
+    looks up ``expr._parse`` at each call."""
+    calls = []
+    original = expr._parse
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(expr, "_parse", counted)
+    return calls

@@ -335,24 +335,6 @@ def test_exit_1_stderr(argv, expected, tmp_path, capsys):
     assert err == "error: " + expected.replace("{tmp}", tmp) + "\n"
 
 
-def _counted(monkeypatch, name):
-    """The arguments of every call made to ``expr.<name>`` from now on."""
-    calls = []
-    original = getattr(expr, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(expr, name, counted)
-    return calls
-
-
-@pytest.fixture
-def parse_calls(monkeypatch):
-    return _counted(monkeypatch, "_parse")
-
-
 def test_each_scored_string_is_parsed_once(tmp_path, capsys, parse_calls):
     n_preds = sum(1 for p in PREDICTIONS if p.strip())
     assert main(_argv("check", tmp_path)) == 0
@@ -368,6 +350,13 @@ def test_each_scored_string_is_parsed_once(tmp_path, capsys, parse_calls):
     assert not parse_calls
     assert main(_argv("flatten", tmp_path)) == 0
     assert len(parse_calls) == 1
+
+
+@pytest.mark.parametrize("command, records", [("derive-spec", EXAMPLES),
+                                              ("sample-spis", SPIS_RECORDS)])
+def test_pool_commands_parse_each_record_once(command, records, tmp_path, capsys, parse_calls):
+    assert main(_argv(command, tmp_path)) == 0
+    assert [args[0] for args in parse_calls] == [rec["api_call"] for rec in records]
 
 
 def test_eval_leaves_no_reference_cycles_through_reports(tmp_path, capsys):

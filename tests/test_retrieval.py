@@ -538,6 +538,17 @@ def test_precomputed_embedder_rejects_vectors_of_length_zero():
         PrecomputedEmbedder({"a": np.array([]), "b": np.array([])})
 
 
+@pytest.mark.parametrize("vectors, message", [
+    # Every vector 2-D: len() read the dimension as 2, and build_index failed
+    # with an IndexError.
+    ({"a": np.ones((2, 3)), "b": np.ones((2, 3))}, "vector 'a' must be 1-D, got shape (2, 3)"),
+    ({"a": np.ones(3), "b": np.float64(1.0)}, "vector 'b' must be 1-D, got shape ()"),
+])
+def test_precomputed_embedder_rejects_a_vector_that_is_not_1d(vectors, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PrecomputedEmbedder(vectors)
+
+
 def test_load_embeddings_rejects_a_duplicate_id(tmp_path):
     # The last vector would otherwise silently replace the first.
     path = tmp_path / "vectors.tsv"

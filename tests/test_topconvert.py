@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import enum
+import pickle
 import re
 from dataclasses import dataclass
 
@@ -6,12 +9,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from apicheck.expr import ApiCall, calls_in, is_identifier, parse, serialize
+from apicheck.expr import ApiCall, ParseError, ParseErrorKind, calls_in, is_identifier, parse, serialize
+from apicheck.retrieval import HashedBowEmbedder, build_index
 from apicheck.topconvert import (
     Example,
     ExampleFormatError,
     TopFormatError,
     convert_example,
+    dump_example,
     load_examples,
     spis_sample,
     top_to_call,
@@ -147,6 +152,14 @@ PARSE_ERRORS = {
     "[IN:F [IN:G ]]": "intent nested directly under intent at offset 6",
     "stray [IN:F ]": "token outside brackets at offset 0",
     "[IN:F ] [IN:G ]": "expected exactly one root span, got 2 at offset 0",
+    # Errors inside glued lexemes and after non-ASCII whitespace: each offset is
+    # that of the lexeme's first character (a label's, for a bad label).
+    "[IN:F x[ ]": "bad bracket prefix (expected [IN: or [SL:) at offset 7",
+    "[IN:F\u2003[XX:G ]]": "bad bracket prefix (expected [IN: or [SL:) at offset 6",
+    "[IN:F [SL:A x]]]": "unbalanced ']' at offset 15",
+    "[IN:F\xa0[SL:A\u3000x]\u2028]]": "unbalanced ']' at offset 16",
+    "[IN:F [SL:[ ]]": "bad label '' at offset 10",
+    "[IN:F x[SL:a y]]": "bad label 'a' at offset 11",
 }
 
 
@@ -400,3 +413,63 @@ def test_convert_example():
     with pytest.raises(ExampleFormatError) as err:
         convert_example(Example("e2", "alarm", "u", "F ( )", None))
     assert str(err.value) == "example 'e2' has no top_parse"
+
+
+def test_the_srd_chain_parses_no_call(tmp_path, parse_calls):
+    # Each pool call is built once, by top_to_call, and carried from there.
+    path = tmp_path / "top.jsonl"
+    tops = [SHOW_ALARMS_TOP, FIG1_TOP, "[IN:GET_ALARMS alarms ]"]
+    write_examples([Example(f"t{i}", "d", f"utterance {i}", None, t) for i, t in enumerate(tops)], path)
+    pool = [convert_example(e) for e in load_examples(path)]
+    sampled = spis_sample(pool, 1, seed=3)
+    build_index(pool, HashedBowEmbedder())
+    assert parse_calls == []
+    assert [e.call for e in pool] == [top_to_call(t) for t in tops]
+    assert sampled and all(e.call == parse(e.api_call) for e in sampled)
+
+
+def test_load_examples_parses_each_api_call_once(tmp_path, parse_calls):
+    path = tmp_path / "examples.jsonl"
+    pool = _pool()
+    write_examples(pool, path)
+    parse_calls.clear()
+    loaded = load_examples(path, require_api_call=True)
+    assert parse_calls == [(e.api_call,) for e in pool]
+    assert [e.call for e in loaded] == [e.call for e in pool]
+
+
+def test_records_survive_pickle_and_deepcopy():
+    call = top_to_call(FIG1_TOP)
+    example = convert_example(Example("e1", "nav", "show me", None, FIG1_TOP))
+    for copied in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        assert copied(call) == call
+        again = copied(example)
+        assert again == example and again.call == call
+
+
+def test_example_call_is_left_out_of_eq_hash_repr_and_jsonl():
+    plain = Example("e1", "d", "u", "F ( )")
+    # A call passed in is trusted, so this one can differ from its api_call.
+    other = Example("e1", "d", "u", "F ( )", None, ApiCall("G"))
+    assert (plain.call, other.call) == (ApiCall("F"), ApiCall("G"))
+    assert plain == other and hash(plain) == hash(other)
+    assert repr(plain) == repr(other) == (
+        "Example(id='e1', domain='d', utterance='u', api_call='F ( )', top_parse=None)"
+    )
+    assert dump_example(plain) == dump_example(other) == (
+        '{"api_call": "F ( )", "domain": "d", "id": "e1", "utterance": "u"}'
+    )
+    assert dataclasses.replace(other, top_parse="[IN:F ]").call is other.call
+
+
+def test_a_hand_built_example_parses_its_api_call():
+    assert Example("e1", "d", "u", 'F ( A = "x" )').call == ApiCall("F", (("A", "x"),))
+    assert Example("e1", "d", "u", None, "[IN:F ]").call is None
+    with pytest.raises(ParseError) as err:
+        Example("e1", "d", "u", "F (")
+    assert err.value.kind is ParseErrorKind.UNBALANCED_PAREN
+
+
+def test_example_keeps_its_positional_field_order():
+    names = [f.name for f in dataclasses.fields(Example)]
+    assert names == ["id", "domain", "utterance", "api_call", "top_parse", "call"]

@@ -10,7 +10,6 @@ line and 1. Only ``decode-sim`` returns a status, 1 when a run is incomplete.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import random
@@ -111,7 +110,7 @@ def _cmd_sample_spis(args) -> None:
         topconvert.write_examples(sampled, args.out)
     else:
         for e in sampled:
-            print(topconvert.dump_example(dataclasses.replace(e, top_parse=None)))
+            print(topconvert.dump_example(e, with_top_parse=False))
 
 
 def _build_index(args) -> retrieval.DemoIndex:

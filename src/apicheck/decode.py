@@ -29,6 +29,9 @@ grouped by its run's length and the rest, and one text per group is stepped.
 The walk steps a range that enters a string text by text, so it never recurses
 through string content.
 
+A session's vocabulary half (sorted texts, string tables, the texts spellability
+reads) is a ``VocabIndex``, built in bulk from the ``Vocab`` alone.
+
 ``iter_steps`` is the one decode loop: ``mock_decode``, ``overhead_report`` and
 the CLI's ``mask`` step through it with their own choosers.
 """
@@ -39,7 +42,7 @@ import enum
 import random
 import re
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Set
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -154,8 +157,6 @@ def _escape_token(text: str) -> str:
 
 
 def _unescape_token(text: str) -> str:
-    if "\\" not in text:
-        return text
     if not _ESCAPED_TEXT.fullmatch(text):
         raise VocabFormatError(f"bad escape in token text {text!r}")
     return _ESCAPE.sub(lambda m: _UNESCAPES[m[0]], text)
@@ -179,16 +180,16 @@ def load_vocab(path: str | Path) -> Vocab:
         raise VocabFormatError(f"{path}:1: bad eos_id") from e
     tokens: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines[1:], 2):
-        if not line:
-            continue
-        if "\t" not in line:
+        tid_str, tab, text = line.partition("\t")
+        if not tab:
+            if not line:
+                continue
             raise VocabFormatError(f"{path}:{lineno}: expected token_id<TAB>text")
-        tid_str, _, text = line.partition("\t")
         try:
             tid = int(tid_str)
         except ValueError as e:
             raise VocabFormatError(f"{path}:{lineno}: bad token id {tid_str!r}") from e
-        tokens.append((tid, _unescape_token(text)))
+        tokens.append((tid, _unescape_token(text) if "\\" in text else text))
     try:
         return Vocab(tuple(tokens), eos_id)
     except ValueError as e:
@@ -209,6 +210,40 @@ def _spellable(name: str, texts: set[str]) -> bool:
                 if name[i:j] in texts:
                     reached[j] = True
     return n > 0 and reached[n]
+
+
+class VocabIndex:
+    """The tables of a session that depend on the vocab alone.
+
+    ``ids``, ``texts``: the spendable tokens (not the EOS, not empty) in text
+    order, an implicit trie. ``plain_by_len[n]``: the ids of the length-n texts
+    with no quote or backslash; ``plain``: all of them. ``quoted``: each other
+    text's (plain-run length, rest) to a text and ids. ``name_texts``: the texts
+    that start with ``[0-9A-Z_]``, as every piece of a name does.
+    """
+
+    def __init__(self, vocab: Vocab):
+        text = itemgetter(1)
+        tokens = sorted(vocab.tokens, key=text)  # stable: equal texts keep vocab order
+        eos_text = vocab.text_of(vocab.eos_id)
+        del tokens[tokens.index((vocab.eos_id, eos_text), bisect_left(tokens, eos_text, key=text))]
+        del tokens[: bisect_right(tokens, "", key=text)]  # the empty texts sort first
+        self.ids = ids = list(map(itemgetter(0), tokens))
+        self.texts = texts = list(map(text, tokens))
+        self.quoted: dict[tuple[int, str], tuple[str, list[int]]] = {}
+        lengths = list(map(len, texts))
+        for i in [i for i, t in enumerate(texts) if _QUOTE in t or _BACKSLASH in t]:
+            k = _RUN.match(texts[i]).end()
+            self.quoted.setdefault((k, texts[i][k:]), (texts[i], []))[1].append(ids[i])
+            lengths[i] = 0  # into bucket 0, which is emptied below
+        self.plain_by_len = by_len = [[] for _ in range(max(lengths, default=0) + 1)]
+        for tid, n in zip(ids, lengths):
+            by_len[n].append(tid)
+        by_len[0] = []
+        self.plain = frozenset().union(*by_len)
+        # Each range ends at the character after its last ("9" < ":", "Z" < "[", "_" < "`").
+        ranges = [(bisect_left(texts, lo), bisect_left(texts, hi)) for lo, hi in ("0:", "A[", "_`")]
+        self.name_texts = set(chain.from_iterable(texts[lo:hi] for lo, hi in ranges))
 
 
 class _StringMask(Set):
@@ -269,10 +304,8 @@ class DecodeSession:
         if max_string_len < 0:
             raise ValueError("max_string_len must be >= 0")
         names = sorted(spec.functions | spec.arguments)
-        spendable = [(tid, text) for tid, text in vocab.tokens if tid != vocab.eos_id and text]
-        spendable.sort(key=itemgetter(1))
-        texts = {text for _, text in spendable}
-        unspellable = [name for name in names if not _spellable(name, texts)]
+        index = VocabIndex(vocab)
+        unspellable = [name for name in names if not _spellable(name, index.name_texts)]
         if unspellable:
             raise UnspellableNameError(unspellable)
         self.spec = spec
@@ -281,24 +314,9 @@ class DecodeSession:
         self.max_depth = max_depth
         self._fn_next = _next_chars(spec.functions)
         self._arg_next = {f: _next_chars(spec.args_for(f)) for f in spec.functions}
-        # The trie: spendable ids and texts in text order, so the texts that
-        # share a prefix form one contiguous range.
-        self._ids = [tid for tid, _ in spendable]
-        self._texts = [text for _, text in spendable]
-        # String content: plain_by_len[n] holds the ids of the length-n texts
-        # with no quote or backslash, and _plain all of them, shared by every
-        # string step. _quoted maps (plain-run length, rest) to a text and ids.
-        self._plain_by_len: list[list[int]] = [[]]
-        self._quoted: dict[tuple[int, str], tuple[str, list[int]]] = {}
-        for tid, text in spendable:
-            if _QUOTE in text or _BACKSLASH in text:
-                k = _RUN.match(text).end()
-                self._quoted.setdefault((k, text[k:]), (text, []))[1].append(tid)
-                continue
-            while len(self._plain_by_len) <= len(text):
-                self._plain_by_len.append([])
-            self._plain_by_len[len(text)].append(tid)
-        self._plain = frozenset(tid for bucket in self._plain_by_len for tid in bucket)
+        # The vocabulary's tables, read by the walk and the string masks.
+        self._ids, self._texts = index.ids, index.texts
+        self._plain_by_len, self._plain, self._quoted = index.plain_by_len, index.plain, index.quoted
 
     # -- character automaton ------------------------------------------------
 
@@ -543,8 +561,9 @@ def overhead_report(spec: ApiSpec, vocab: Vocab, n_steps: int, seed: int = 17) -
     """Mean per-step cost of mask+advance vs. an unconstrained sampling step.
 
     Sessions restart on completion until n_steps total steps are consumed.
-    Build time (the name spellability check, the prefix tables, the sorted
-    vocab trie and the string tables) is reported apart from per-step time.
+    Build time (the name spellability check, the prefix tables, and the
+    vocab's index: the sorted trie and the string tables) is reported apart
+    from per-step time.
     The session takes the default decode limits, ``DEFAULT_MAX_STRING_LEN``
     and ``DEFAULT_MAX_DEPTH``.
     """

@@ -91,13 +91,24 @@ class Example:
     utterance: str
     api_call: str | None = None
     top_parse: str | None = None
-    # ``parse(api_call)``, parsed here unless passed in; left out of ==, hash, repr
-    # and the JSONL. ``replace`` keeps it, so pass ``call=None`` with a new api_call.
-    call: ApiCall | None = field(default=None, compare=False, repr=False)
+    # Always ``parse(api_call)``, left out of ==, hash, repr and the JSONL. It is
+    # not an argument, so ``replace`` parses a new api_call again.
+    call: ApiCall | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.call is None and self.api_call is not None:
-            object.__setattr__(self, "call", parse(self.api_call))
+        object.__setattr__(self, "call", None if self.api_call is None else parse(self.api_call))
+
+    @classmethod
+    def _parsed(cls, id, domain, utterance, api_call, top_parse, call) -> Example:
+        """An ``Example`` whose ``call``, already ``parse(api_call)``, is not parsed again."""
+        example, set_field = object.__new__(cls), object.__setattr__
+        set_field(example, "id", id)
+        set_field(example, "domain", domain)
+        set_field(example, "utterance", utterance)
+        set_field(example, "api_call", api_call)
+        set_field(example, "top_parse", top_parse)
+        set_field(example, "call", call)
+        return example
 
 
 class ExampleFormatError(ValueError):
@@ -175,14 +186,17 @@ def load_examples(path: str | Path, require_api_call: bool = False) -> list[Exam
             call = None if api_call is None else parse(api_call)
         except ParseError as e:
             raise ExampleFormatError(f"{path}:{lineno}: api_call does not parse ({e})") from e
-        out.append(Example(rec["id"], rec["domain"], rec["utterance"], api_call, top_parse, call))
+        out.append(
+            Example._parsed(rec["id"], rec["domain"], rec["utterance"], api_call, top_parse, call)
+        )
     return out
 
 
-def dump_example(e: Example) -> str:
-    """One JSONL record without the newline; absent api_call/top_parse are left out."""
+def dump_example(e: Example, with_top_parse: bool = True) -> str:
+    """One JSONL record without the newline; absent api_call/top_parse are left
+    out, and so is top_parse unless ``with_top_parse``."""
     rec = {"id": e.id, "domain": e.domain, "utterance": e.utterance,
-           "api_call": e.api_call, "top_parse": e.top_parse}
+           "api_call": e.api_call, "top_parse": e.top_parse if with_top_parse else None}
     return json.dumps({k: v for k, v in rec.items() if v is not None}, sort_keys=True)
 
 
@@ -201,6 +215,6 @@ def convert_example(example: Example) -> Example:
         call = top_to_call(example.top_parse)
     except TopFormatError as e:
         raise ExampleFormatError(f"example {example.id!r}: {e}") from e
-    return Example(
+    return Example._parsed(
         example.id, example.domain, example.utterance, serialize(call), example.top_parse, call
     )

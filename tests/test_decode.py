@@ -4,6 +4,7 @@ import string
 import sys
 import time
 import tracemalloc
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from apicheck.decode import (
     UnspellableNameError,
     Vocab,
     VocabFormatError,
+    VocabIndex,
+    _spellable,
     advance,
     allowed_tokens,
     iter_steps,
@@ -34,7 +37,7 @@ from apicheck.decode import (
     overhead_report,
     save_vocab,
 )
-from apicheck.expr import parse
+from apicheck.expr import _RUN, parse
 from apicheck.spec import ApiSpec, SpecFormatError, derive_from_corpus
 
 import genutil
@@ -614,6 +617,65 @@ def test_walk_does_not_recurse_per_character_of_a_long_token(suffixes):
     assert texts.index(nested) in allowed
 
 
+# -- the vocabulary index against the per-token build ------------------------
+
+
+def index_oracle(vocab):
+    """The per-token build ``VocabIndex`` replaced, as ``DecodeSession`` made
+    it: (ids, texts, plain_by_len, plain, quoted, the text set spellability read)."""
+    spendable = [(tid, text) for tid, text in vocab.tokens if tid != vocab.eos_id and text]
+    spendable.sort(key=itemgetter(1))
+    texts = {text for _, text in spendable}
+    ids = [tid for tid, _ in spendable]
+    sorted_texts = [text for _, text in spendable]
+    plain_by_len = [[]]
+    quoted = {}
+    for tid, text in spendable:
+        if '"' in text or "\\" in text:
+            k = _RUN.match(text).end()
+            quoted.setdefault((k, text[k:]), (text, []))[1].append(tid)
+            continue
+        while len(plain_by_len) <= len(text):
+            plain_by_len.append([])
+        plain_by_len[len(text)].append(tid)
+    plain = frozenset(tid for bucket in plain_by_len for tid in bucket)
+    return ids, sorted_texts, plain_by_len, plain, quoted, texts
+
+
+# Name characters at each end of the three name ranges, lowercase, a space,
+# a quote and a backslash, and non-ASCII text up to the last code point.
+_INDEX_TEXTS = st.text(alphabet='AZ_09az "\\\u00e9\U0010ffff', max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_vocab_index_matches_the_per_token_build(data):
+    texts = data.draw(st.lists(_INDEX_TEXTS, max_size=30))
+    if texts:
+        texts += data.draw(st.lists(st.sampled_from(texts), max_size=6))  # same text, new id
+    eos_text = data.draw(st.sampled_from(["", *texts]) | _INDEX_TEXTS)
+    ids = data.draw(st.permutations(range(0, 3 * len(texts) + 3, 3)))  # out of order, with gaps
+    tokens = data.draw(st.permutations(list(zip(ids, texts + [eos_text]))))
+    vocab = Vocab(tuple(tokens), ids[-1])
+    index = VocabIndex(vocab)
+    *tables, quoted, text_set = index_oracle(vocab)
+    assert [index.ids, index.texts, index.plain_by_len, index.plain] == tables
+    assert list(index.quoted.items()) == list(quoted.items())
+    assert index.name_texts == {t for t in text_set if t[0] in genutil.NAME_ALPHABET}
+    pieces = sorted(t for t in text_set if set(t) <= set(genutil.NAME_ALPHABET))
+    names = data.draw(st.lists(st.from_regex(r"[AZ_][AZ_09]{0,5}", fullmatch=True), max_size=4))
+    if pieces:  # names that need digit-initial or _-initial pieces
+        names.append("A" + "".join(data.draw(st.lists(st.sampled_from(pieces), max_size=4))))
+    for name in names:
+        assert _spellable(name, index.name_texts) == _spellable(name, text_set), name
+    if _spellable("A", text_set):  # texts longer than the string room, in and out of strings
+        session = DecodeSession(ApiSpec(frozenset({"A"})), vocab, max_string_len=2)
+        assert_mask_matches_scan(DecodeState(session))
+        for str_len, esc in itertools.product(range(3), (False, True)):
+            cfg = (Mode.IN_STRING, ("A",), "", "", False, str_len, esc)
+            assert_mask_matches_scan(DecodeState(session, cfg))
+
+
 # -- mock decoding -----------------------------------------------------------
 
 
@@ -774,24 +836,31 @@ def test_escapes_match_the_oracle(text):
     assert _unescape_token(_escape_token(text)) == text
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "",
-        "5\tA\n",
-        "eos_id\tx\n",
-        "eos_id\t1\nnot_an_int\tA\n",
-        "eos_id\t9\n0\tA\n",  # eos id missing from table
-        "eos_id\t1\n0\tA\n1\t\n0\tB\n",  # duplicate id
-        "eos_id\t0\n0\tx\\q\n",  # unknown escape
-        "eos_id\t0\n0\tx\\\n",  # escape at the end of the text
-    ],
-)
+# Each malformed file and the message it is refused with.
+_MALFORMED_VOCABS = {
+    "": "{path}: first line must be 'eos_id<TAB>N'",
+    "5\tA\n": "{path}: first line must be 'eos_id<TAB>N'",
+    "eos_id\tx\n": "{path}:1: bad eos_id",
+    "eos_id\t\n0\tA\n": "{path}:1: bad eos_id",
+    "eos_id\t1\nnot_an_int\tA\n": "{path}:2: bad token id 'not_an_int'",
+    "eos_id\t9\n0\tA\n": "{path}: eos_id 9 not among token ids",
+    "eos_id\t1\n0\tA\n1\t\n0\tB\n": "{path}: duplicate token ids in vocab",
+    "eos_id\t0\n0\tx\\q\n": "bad escape in token text 'x\\\\q'",  # unknown escape
+    "eos_id\t0\n0\tx\\\n": "bad escape in token text 'x\\\\'",  # at the end of the text
+    # Blank lines are skipped, but still counted.
+    "eos_id\t1\n\n0\tA\n\n\nno tab here\n": "{path}:6: expected token_id<TAB>text",
+    "eos_id\t1\n\n0\tA\n\nx1\tB\n": "{path}:5: bad token id 'x1'",
+    "eos_id\t1\n0\tA\n\n\n 7\tB\n": "{path}: eos_id 1 not among token ids",  # int(" 7")
+}
+
+
+@pytest.mark.parametrize("content", list(_MALFORMED_VOCABS))
 def test_vocab_malformed(tmp_path, content):
     path = tmp_path / "vocab.tsv"
     path.write_text(content)
-    with pytest.raises(VocabFormatError):
+    with pytest.raises(VocabFormatError) as err:
         load_vocab(path)
+    assert str(err.value) == _MALFORMED_VOCABS[content].format(path=path)
 
 
 # -- overhead ----------------------------------------------------------------

@@ -449,8 +449,9 @@ def test_records_survive_pickle_and_deepcopy():
 
 def test_example_call_is_left_out_of_eq_hash_repr_and_jsonl():
     plain = Example("e1", "d", "u", "F ( )")
-    # A call passed in is trusted, so this one can differ from its api_call.
-    other = Example("e1", "d", "u", "F ( )", None, ApiCall("G"))
+    # No caller can pass a call, so only the private constructor can build a
+    # record whose call is not parse(api_call), as it does here on purpose.
+    other = Example._parsed("e1", "d", "u", "F ( )", None, ApiCall("G"))
     assert (plain.call, other.call) == (ApiCall("F"), ApiCall("G"))
     assert plain == other and hash(plain) == hash(other)
     assert repr(plain) == repr(other) == (
@@ -459,7 +460,19 @@ def test_example_call_is_left_out_of_eq_hash_repr_and_jsonl():
     assert dump_example(plain) == dump_example(other) == (
         '{"api_call": "F ( )", "domain": "d", "id": "e1", "utterance": "u"}'
     )
-    assert dataclasses.replace(other, top_parse="[IN:F ]").call is other.call
+    with pytest.raises(TypeError):
+        Example("e1", "d", "u", "F ( )", None, ApiCall("G"))
+
+
+@pytest.mark.parametrize("api_call", ['G ( B = "y" )', "F ( )", None])
+def test_replace_parses_the_new_api_call(api_call):
+    converted = convert_example(Example("e1", "nav", "show me", None, FIG1_TOP))
+    for example in (converted, Example("e2", "d", "u", 'F ( A = "x" )')):
+        again = dataclasses.replace(example, api_call=api_call)
+        assert again.call == (None if api_call is None else parse(api_call))
+        assert dataclasses.replace(example, top_parse="[IN:F ]").call == example.call
+    with pytest.raises(ParseError):
+        dataclasses.replace(converted, api_call="F (")
 
 
 def test_a_hand_built_example_parses_its_api_call():

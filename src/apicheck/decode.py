@@ -156,9 +156,9 @@ def _escape_token(text: str) -> str:
     return text.translate(_ESCAPE_TABLE)
 
 
-def _unescape_token(text: str) -> str:
+def _unescape_token(text: str, where: str = "") -> str:
     if not _ESCAPED_TEXT.fullmatch(text):
-        raise VocabFormatError(f"bad escape in token text {text!r}")
+        raise VocabFormatError(f"{where}bad escape in token text {text!r}")
     return _ESCAPE.sub(lambda m: _UNESCAPES[m[0]], text)
 
 
@@ -189,7 +189,9 @@ def load_vocab(path: str | Path) -> Vocab:
             tid = int(tid_str)
         except ValueError as e:
             raise VocabFormatError(f"{path}:{lineno}: bad token id {tid_str!r}") from e
-        tokens.append((tid, _unescape_token(text) if "\\" in text else text))
+        if "\\" in text:
+            text = _unescape_token(text, f"{path}:{lineno}: ")
+        tokens.append((tid, text))
     try:
         return Vocab(tuple(tokens), eos_id)
     except ValueError as e:

@@ -2,11 +2,10 @@
 
 The default embedder is a deterministic hashed bag-of-words (lowercased,
 punctuation-split tokens, fixed dimension, L2-normalized) so cosine ranking
-is fully reproducible without any neural model. ``build_index`` embeds a
-hashed pool in one batch, and a query goes through the same bucket rule, so
-a text has one vector whether it is in the pool or asked. Precomputed vectors
-can be ingested from an embeddings file keyed by example id for offline
-parity with a dense retriever.
+is fully reproducible without any neural model. Precomputed vectors can be
+ingested from an embeddings file keyed by example id for offline parity with
+a dense retriever. Every embedder embeds a pool in one ``embed_pool`` call,
+and a query through ``embed``.
 """
 
 from __future__ import annotations
@@ -24,14 +23,30 @@ from .topconvert import Example
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _MAX_CACHED_TOKENS = 1 << 14  # distinct words whose bucket one HashedBowEmbedder keeps
-_SCRATCH_ENTRIES = 1 << 16  # entries of the dense rows build_index lays out at once
+_SCRATCH_ENTRIES = 1 << 16  # entries of the dense rows _scale_rows lays out at once
+PoolRows = tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray  # see Embedder.embed_pool
+
+
+def _dense(nonzeros: int, entries: int) -> bool:
+    """At least one entry in eight nonzero: a pool is kept as a matrix, and a
+    query against it takes the whole product."""
+    return 8 * nonzeros >= entries
 
 
 class Embedder(Protocol):
+    """Embeds a query (``embed``) or a whole pool (``embed_pool``).
+
+    ``embed_pool(keys)`` gives the unit rows of ``embed(k)`` for each key (a
+    zero row stays zero) as nonzeros (row, dimension, value), ordered by row
+    and then by dimension, or, if they are ``_dense``, as a column-major (P, D)
+    matrix. A key is an example's id if ``keyed_by_id``, else its utterance."""
+
     dimension: int
     keyed_by_id: bool
 
     def embed(self, text: str) -> np.ndarray: ...
+
+    def embed_pool(self, keys: list[str]) -> PoolRows: ...
 
 
 class EmbeddingLookupError(ValueError):
@@ -43,8 +58,8 @@ class HashedBowEmbedder:
 
     Each lowercased word adds 1 to the bucket its SHA-1 picks, and the counts
     are scaled to unit length. ``embed`` (one text, a query) and
-    ``embed_nonzeros`` (a whole pool, in one batch) take the buckets from the
-    same ``_bucket_ids``, so a text gets the same vector either way."""
+    ``embed_nonzeros`` (a whole pool, in one batch, for ``embed_pool``) take
+    the buckets from the same ``_bucket_ids``, so a text gets one vector."""
 
     keyed_by_id = False
 
@@ -91,6 +106,15 @@ class HashedBowEmbedder:
         norms = np.sqrt(np.bincount(rows, counts * counts, minlength=len(texts)))
         return rows, cols, counts / norms[rows]
 
+    def embed_pool(self, texts: list[str]) -> PoolRows:
+        rows, cols, values = self.embed_nonzeros(texts)
+        values = _scale_rows(rows, cols, values, len(texts), self.dimension)
+        if not _dense(len(values), len(texts) * self.dimension):
+            return rows, cols, values
+        matrix = np.zeros((len(texts), self.dimension), order="F")
+        matrix[rows, cols] = values
+        return matrix
+
 
 class PrecomputedEmbedder:
     """Vectors keyed by example id; embed() treats its input as an id."""
@@ -118,6 +142,28 @@ class PrecomputedEmbedder:
         except KeyError:
             raise EmbeddingLookupError(f"no precomputed vector for id {key!r}") from None
 
+    def embed_pool(self, keys: list[str]) -> PoolRows:
+        """Each vector (a missing id raises as in ``embed``) divided by its
+        length. A division may zero an entry (an underflow) but never makes one
+        nonzero, so the raw nonzeros, counted until they show the pool dense,
+        bound the unit rows': a pool they show dense is divided straight into
+        its matrix, and kept if still dense."""
+        vectors = [self.vectors[k] if k in self.vectors else self.embed(k) for k in keys]
+        n, dim = len(vectors), self.dimension
+        norms = [np.linalg.norm(v) for v in vectors]
+        if any(_dense(c, n * dim) for c in itertools.accumulate(map(np.count_nonzero, vectors))):
+            matrix = np.empty((n, dim), order="F")
+            for row, vec, norm in zip(matrix, vectors, norms):
+                np.divide(vec, norm if norm > 0 else 1.0, out=row)
+            if _dense(np.count_nonzero(matrix), n * dim):
+                return matrix
+            rows, cols = np.nonzero(matrix)
+            return rows, cols, matrix[rows, cols]
+        units = [vec / norm if norm > 0 else vec for vec, norm in zip(vectors, norms)]
+        cols = [np.flatnonzero(unit) for unit in units]
+        rows = np.repeat(np.arange(n), [len(c) for c in cols])
+        return rows, np.concatenate(cols), np.concatenate([u[c] for u, c in zip(units, cols)])
+
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """Read ``id<TAB>v1,v2,...,vD`` line records, one per id, all of the first one's length."""
@@ -143,6 +189,8 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
                     f"{path}:{lineno}: vector length {len(vec)}, the first vector's is {dim}")
             dim = len(vec)
             out[key] = vec
+    if not out:
+        raise ValueError(f"{path}: no vectors")
     return out
 
 
@@ -154,14 +202,14 @@ def save_embeddings(vectors: Mapping[str, np.ndarray], path: str | Path) -> None
 
 @dataclass(frozen=True)
 class DemoIndex:
-    """The pool's embeddings, each scaled to unit length (a zero vector stays
-    zero), as one posting list per dimension: ``rows[d]`` holds the numbers of
-    the rows (in the order of ``examples``) that are nonzero in dimension ``d``,
-    ascending, and ``values[d]`` their values in it.
+    """The pool's unit rows from ``embed_pool``, as one posting list per
+    dimension: ``rows[d]`` holds the numbers of the rows (in the order of
+    ``examples``) that are nonzero in dimension ``d``, ascending, and
+    ``values[d]`` their values in it.
 
-    A dense pool, one with at least one nonzero in eight, is kept instead as one
-    column-major (P, D) ``matrix``; ``rows`` is None, and ``values[d]`` is the
-    matrix's column ``d``, so every row is listed. A sparse pool has no matrix."""
+    A dense pool keeps the column-major (P, D) ``matrix`` ``embed_pool`` gave
+    instead; ``rows`` is None, and ``values[d]`` is the matrix's column ``d``,
+    so every row is listed. A sparse pool has no matrix."""
 
     examples: tuple[Example, ...]
     rows: tuple[np.ndarray, ...] | None
@@ -171,29 +219,17 @@ class DemoIndex:
 
 
 def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
-    """Embed the pool and scale each row to unit length.
-
-    A ``HashedBowEmbedder`` embeds the whole pool in one batch, through the
-    bucket rule its queries use; any other embedder, whose vectors may be
-    arbitrary and dense, is asked for one example at a time."""
+    """Embed the pool with one ``embedder.embed_pool`` call and lay it out."""
     if not examples:
         raise ValueError("cannot build an index over zero examples")
-    n, dim = len(examples), embedder.dimension
-    if isinstance(embedder, HashedBowEmbedder):
-        rows, cols, values = embedder.embed_nonzeros([ex.utterance for ex in examples])
-        values = _scale_rows(rows, cols, values, n, dim)
-        matrix = None
-        if 8 * len(values) >= n * dim:
-            matrix = np.zeros((n, dim), dtype=np.float64, order="F")
-            matrix[rows, cols] = values
-    else:
-        rows, cols, values, matrix = _embed_each(examples, embedder)
-    if matrix is not None:
-        return DemoIndex(tuple(examples), None, tuple(matrix.T), matrix, embedder)
+    pool = embedder.embed_pool([ex.id if embedder.keyed_by_id else ex.utterance for ex in examples])
+    if isinstance(pool, np.ndarray):
+        return DemoIndex(tuple(examples), None, tuple(pool.T), pool, embedder)
     # Sorting the nonzeros by dimension, stably, keeps each list's rows ascending.
+    rows, cols, values = pool
     order = np.argsort(cols, kind="stable")
     rows, values = rows[order], values[order]
-    bounds = [0, *np.cumsum(np.bincount(cols, minlength=dim)).tolist()]
+    bounds = [0, *np.cumsum(np.bincount(cols, minlength=embedder.dimension)).tolist()]
     spans = list(zip(bounds, bounds[1:]))
     return DemoIndex(
         tuple(examples),
@@ -227,44 +263,6 @@ def _scale_rows(
     return values / np.sqrt(squares)[rows]
 
 
-def _embed_each(
-    examples: list[Example], embedder: Embedder
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """The unit rows of the pool as nonzeros (row, dimension, value), or, if
-    they show the pool to be dense, as one column-major (P, D) matrix."""
-    n, dim = len(examples), embedder.dimension
-    # The nonzeros of each unit row, until they show the pool to be dense. They
-    # then fill the matrix, whose remaining rows are written whole, so a dense
-    # pool never holds more than an eighth of its entries twice.
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    nonzeros = 0
-    matrix = None
-    for i, ex in enumerate(examples):
-        vec = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
-        if len(vec) != dim:
-            raise ValueError(f"embedder dimension mismatch: {len(vec)} != {dim}")
-        norm = np.linalg.norm(vec)
-        if matrix is not None:
-            # Divided straight into the matrix; a zero row is left as it is.
-            np.divide(vec, norm if norm > 0 else 1.0, out=matrix[i])
-            continue
-        unit = vec / norm if norm > 0 else vec
-        nz = np.flatnonzero(unit)
-        cols.append(nz.astype(np.int32))
-        vals.append(unit[nz])
-        nonzeros += len(nz)
-        if 8 * nonzeros >= n * dim:
-            matrix = np.zeros((n, dim), dtype=np.float64, order="F")
-            for row, (c, v) in enumerate(zip(cols, vals)):
-                matrix[row, c] = v
-            cols, vals = [], []
-    if matrix is not None:
-        return None, None, None, matrix
-    rows = np.repeat(np.arange(n), [len(c) for c in cols])
-    return rows, np.concatenate(cols), np.concatenate(vals), None
-
-
 def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Example, float]]:
     """Top-k entries by cosine similarity, most similar first.
 
@@ -285,7 +283,7 @@ def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Exam
     unit = query / norm if norm > 0 else query
     cols = np.flatnonzero(unit)
     rows, values = index.rows, index.values
-    if rows is None and 8 * len(cols) >= len(unit):
+    if rows is None and _dense(len(cols), len(unit)):
         sims = index.matrix @ unit
     elif rows is not None and len(cols):
         picked = cols.tolist()

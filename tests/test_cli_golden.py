@@ -202,6 +202,7 @@ def _write_error_inputs(tmp):
     (tmp / "nonfinite_emb.tsv").write_text("e1\t1.0,2.0\ne2\tnan,1.0\n", encoding="utf-8")
     (tmp / "dup_emb.tsv").write_text("e1\t1.0,0.0\ne2\t0.0,1.0\ne1\t0.0,1.0\n", encoding="utf-8")
     (tmp / "ragged_emb.tsv").write_text("e1\t1.0,0.0\ne2\t0.0,1.0,2.0\n", encoding="utf-8")
+    (tmp / "empty_emb.tsv").write_text("\n", encoding="utf-8")
     _jsonl(tmp / "dup_ex.jsonl", EXAMPLES[:2] + [dict(EXAMPLES[2], id="e1")])
 
 
@@ -291,6 +292,9 @@ ERROR_ROWS = [
     ("inconsistent-embeddings",
      ["retrieve", *_POOL, "--query", "e1", "--k", "1", "--embeddings", "{tmp}/ragged_emb.tsv"],
      "{tmp}/ragged_emb.tsv:2: vector length 3, the first vector's is 2"),
+    ("empty-embeddings",
+     ["retrieve", *_POOL, "--query", "e1", "--k", "1", "--embeddings", "{tmp}/empty_emb.tsv"],
+     "{tmp}/empty_emb.tsv: no vectors"),
     ("duplicate-example-id",
      ["retrieve", "--pool", "{tmp}/dup_ex.jsonl", "--query", "alarms", "--k", "1"],
      "{tmp}/dup_ex.jsonl:3: duplicate id 'e1'"),

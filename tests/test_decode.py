@@ -845,11 +845,12 @@ _MALFORMED_VOCABS = {
     "eos_id\t1\nnot_an_int\tA\n": "{path}:2: bad token id 'not_an_int'",
     "eos_id\t9\n0\tA\n": "{path}: eos_id 9 not among token ids",
     "eos_id\t1\n0\tA\n1\t\n0\tB\n": "{path}: duplicate token ids in vocab",
-    "eos_id\t0\n0\tx\\q\n": "bad escape in token text 'x\\\\q'",  # unknown escape
-    "eos_id\t0\n0\tx\\\n": "bad escape in token text 'x\\\\'",  # at the end of the text
+    "eos_id\t0\n0\tx\\q\n": "{path}:2: bad escape in token text 'x\\\\q'",  # unknown escape
+    "eos_id\t0\n0\tx\\\n": "{path}:2: bad escape in token text 'x\\\\'",  # at the end of the text
     # Blank lines are skipped, but still counted.
     "eos_id\t1\n\n0\tA\n\n\nno tab here\n": "{path}:6: expected token_id<TAB>text",
     "eos_id\t1\n\n0\tA\n\nx1\tB\n": "{path}:5: bad token id 'x1'",
+    "eos_id\t1\n\n0\tA\n1\t\\t\n\n2\t\\x\n": "{path}:6: bad escape in token text '\\\\x'",
     "eos_id\t1\n0\tA\n\n\n 7\tB\n": "{path}: eos_id 1 not among token ids",  # int(" 7")
 }
 

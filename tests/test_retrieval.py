@@ -497,6 +497,9 @@ def test_batch_build_index_is_bitwise_the_per_example_build(case, dimension, cac
 @given(_vector_pools())
 @example(([np.array([1.0, 1.0, 0.0]), np.zeros(3), np.array([0.3, -0.3, 2.0]), np.zeros(3)],
           ["b", "a", "c", "d"], np.zeros(3), 1))
+# 8 nonzeros in 64, dense as read, of which 7 underflow to 0 when divided by the
+# length 3, so the unit rows are sparse and keep posting lists.
+@example(([np.array([3.0] + [5e-324] * 7 + [0.0] * 56)] * 2, ["b", "a"], np.zeros(64), 1))
 def test_precomputed_build_index_is_bitwise_the_per_example_build(case):
     # Dense pools at D=3 write their later rows, zero rows among them, straight
     # into the matrix; sparse ones at D=64 keep posting lists.
@@ -508,6 +511,26 @@ def test_precomputed_build_index_is_bitwise_the_per_example_build(case):
     assert _same_arrays(got.values, want.values)
     assert _same_arrays(None if got.matrix is None else [got.matrix],
                         None if want.matrix is None else [want.matrix])
+
+
+@pytest.mark.parametrize("embedder, dense", [
+    (HashedBowEmbedder(), False),
+    (HashedBowEmbedder(4), True),
+    (PrecomputedEmbedder({"p1": _at_64(0, 5), "p2": _at_64(9), "p3": np.zeros(64)}), False),
+    (PrecomputedEmbedder({"p1": np.ones(3), "p2": np.arange(3.0), "p3": np.zeros(3)}), True),
+], ids=["hashed-sparse", "hashed-dense", "precomputed-sparse", "precomputed-dense"])
+def test_build_index_embeds_the_pool_in_one_embed_pool_call(monkeypatch, embedder, dense):
+    # Sparse and dense pools of both embedders take one path: one embed_pool
+    # call for the whole pool, and no embed call per example.
+    calls = {"embed": 0, "embed_pool": 0}
+    for name in calls:
+        def counted(self, arg, _name=name, _method=getattr(type(embedder), name)):
+            calls[_name] += 1
+            return _method(self, arg)
+        monkeypatch.setattr(type(embedder), name, counted)
+    index = build_index(_pool(), embedder)
+    assert calls == {"embed": 0, "embed_pool": 1}
+    assert (index.matrix is not None) == dense
 
 
 @given(st.lists(st.one_of(st.text(), _phrases), min_size=1, max_size=6),
@@ -554,6 +577,15 @@ def test_load_embeddings_rejects_a_duplicate_id(tmp_path):
     path = tmp_path / "vectors.tsv"
     path.write_text("a\t1.0,0.0\nb\t0.0,1.0\na\t0.0,1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: duplicate id 'a'$"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("content", ["", "\n\n"])
+def test_load_embeddings_rejects_a_file_with_no_vectors(tmp_path, content):
+    # The embedder used to refuse it without naming the file.
+    path = tmp_path / "vectors.tsv"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no vectors$"):
         load_embeddings(path)
 
 

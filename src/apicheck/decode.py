@@ -174,10 +174,15 @@ def load_vocab(path: str | Path) -> Vocab:
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if not lines or not lines[0].startswith("eos_id\t"):
         raise VocabFormatError(f"{path}: first line must be 'eos_id<TAB>N'")
+    # An id is read only in the form save_vocab writes, str(int(s)) == s: int()
+    # alone would also take " 7", "+7", "07" and "1_0".
+    eos_str = lines[0].split("\t", 1)[1]
     try:
-        eos_id = int(lines[0].split("\t", 1)[1])
+        eos_id = int(eos_str)
     except ValueError as e:
         raise VocabFormatError(f"{path}:1: bad eos_id") from e
+    if str(eos_id) != eos_str:
+        raise VocabFormatError(f"{path}:1: bad eos_id")
     tokens: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines[1:], 2):
         tid_str, tab, text = line.partition("\t")
@@ -189,6 +194,8 @@ def load_vocab(path: str | Path) -> Vocab:
             tid = int(tid_str)
         except ValueError as e:
             raise VocabFormatError(f"{path}:{lineno}: bad token id {tid_str!r}") from e
+        if str(tid) != tid_str:
+            raise VocabFormatError(f"{path}:{lineno}: bad token id {tid_str!r}")
         if "\\" in text:
             text = _unescape_token(text, f"{path}:{lineno}: ")
         tokens.append((tid, text))

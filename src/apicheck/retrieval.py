@@ -1,11 +1,11 @@
 """Semantic retrieval of demonstrations and in-context prompt assembly.
 
 The default embedder is a deterministic hashed bag-of-words (lowercased,
-punctuation-split tokens, fixed dimension, L2-normalized) so cosine ranking
-is fully reproducible without any neural model. Precomputed vectors can be
-ingested from an embeddings file keyed by example id for offline parity with
-a dense retriever. Every embedder embeds a pool in one ``embed_pool`` call,
-and a query through ``embed``.
+punctuation-split tokens, fixed dimension) so cosine ranking is fully
+reproducible without any neural model. Precomputed vectors can be ingested
+from an embeddings file keyed by example id for offline parity with a dense
+retriever. Embedders give unit vectors, a pool's in one ``embed_pool`` call and
+a query's through ``embed``; the index and the ranking use them as they are.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .topconvert import Example
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _MAX_CACHED_TOKENS = 1 << 14  # distinct words whose bucket one HashedBowEmbedder keeps
-_SCRATCH_ENTRIES = 1 << 16  # entries of the dense rows _scale_rows lays out at once
 PoolRows = tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray  # see Embedder.embed_pool
 
 
@@ -34,12 +33,13 @@ def _dense(nonzeros: int, entries: int) -> bool:
 
 
 class Embedder(Protocol):
-    """Embeds a query (``embed``) or a whole pool (``embed_pool``).
+    """Embeds a query (``embed``) or a whole pool (``embed_pool``) as unit
+    vectors, a zero vector left zero.
 
-    ``embed_pool(keys)`` gives the unit rows of ``embed(k)`` for each key (a
-    zero row stays zero) as nonzeros (row, dimension, value), ordered by row
-    and then by dimension, or, if they are ``_dense``, as a column-major (P, D)
-    matrix. A key is an example's id if ``keyed_by_id``, else its utterance."""
+    ``embed_pool(keys)`` gives the rows ``embed(k)`` for each key as nonzeros
+    (row, dimension, value), ordered by row and then by dimension, or, if they
+    are ``_dense``, as a column-major (P, D) matrix. A key is an example's id
+    if ``keyed_by_id``, else its utterance."""
 
     dimension: int
     keyed_by_id: bool
@@ -108,7 +108,6 @@ class HashedBowEmbedder:
 
     def embed_pool(self, texts: list[str]) -> PoolRows:
         rows, cols, values = self.embed_nonzeros(texts)
-        values = _scale_rows(rows, cols, values, len(texts), self.dimension)
         if not _dense(len(values), len(texts) * self.dimension):
             return rows, cols, values
         matrix = np.zeros((len(texts), self.dimension), order="F")
@@ -137,17 +136,19 @@ class PrecomputedEmbedder:
         self.dimension = dimension
 
     def embed(self, key: str) -> np.ndarray:
-        try:
-            return self.vectors[key]
-        except KeyError:
-            raise EmbeddingLookupError(f"no precomputed vector for id {key!r}") from None
+        """The vector of id ``key`` divided by its length; a zero vector as it is."""
+        if key not in self.vectors:
+            raise EmbeddingLookupError(f"no precomputed vector for id {key!r}")
+        vec = self.vectors[key]
+        norm = np.linalg.norm(vec)
+        return vec / norm if norm > 0 else vec
 
     def embed_pool(self, keys: list[str]) -> PoolRows:
         """Each vector (a missing id raises as in ``embed``) divided by its
-        length. A division may zero an entry (an underflow) but never makes one
-        nonzero, so the raw nonzeros, counted until they show the pool dense,
-        bound the unit rows': a pool they show dense is divided straight into
-        its matrix, and kept if still dense."""
+        length, as ``embed`` divides it. A division may zero an entry (an
+        underflow) but never makes one nonzero, so the raw nonzeros, counted
+        until they show the pool dense, bound the unit rows': a pool they show
+        dense is divided straight into its matrix, and kept if still dense."""
         vectors = [self.vectors[k] if k in self.vectors else self.embed(k) for k in keys]
         n, dim = len(vectors), self.dimension
         norms = [np.linalg.norm(v) for v in vectors]
@@ -202,8 +203,8 @@ def save_embeddings(vectors: Mapping[str, np.ndarray], path: str | Path) -> None
 
 @dataclass(frozen=True)
 class DemoIndex:
-    """The pool's unit rows from ``embed_pool``, as one posting list per
-    dimension: ``rows[d]`` holds the numbers of the rows (in the order of
+    """The pool's unit rows as ``embed_pool`` gave them, as one posting list
+    per dimension: ``rows[d]`` holds the numbers of the rows (in the order of
     ``examples``) that are nonzero in dimension ``d``, ascending, and
     ``values[d]`` their values in it.
 
@@ -240,37 +241,14 @@ def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
     )
 
 
-def _scale_rows(
-    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int, dim: int
-) -> np.ndarray:
-    """The nonzeros ``values``, ordered by row, each divided by its row's length.
-
-    ``np.linalg.norm`` takes a row's length as ``sqrt(x.dot(x))`` over all D
-    entries, and the dot's order of summation depends on where the nonzeros
-    sit. So the rows are laid out whole on a zeroed scratch, a block at a time,
-    and each one's length is taken the same way: bitwise the per-row one."""
-    block = max(1, min(n, _SCRATCH_ENTRIES // dim))
-    scratch = np.zeros((block, dim), dtype=np.float64)
-    squares: list[float] = []
-    ends = np.searchsorted(rows, np.arange(block, n + block, block)).tolist()
-    start = 0
-    for first, end in zip(range(0, n, block), ends):
-        at = (rows[start:end] - first, cols[start:end])
-        scratch[at] = values[start:end]
-        squares += [row.dot(row) for row in scratch[: min(block, n - first)]]
-        scratch[at] = 0.0
-        start = end
-    return values / np.sqrt(squares)[rows]
-
-
 def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Example, float]]:
     """Top-k entries by cosine similarity, most similar first.
 
-    For each nonzero dimension of the unit query, in ascending order, the
-    dimension's posting list times the query's value there is added into the
-    similarities, so a query reads only its own dimensions. On a dense pool, a
-    query with at least one dimension in eight nonzero takes the product with
-    the whole matrix instead.
+    For each nonzero dimension of the query, ``embed``'s unit vector as it is,
+    in ascending order, the dimension's posting list times the query's value
+    there is added into the similarities, so a query reads only its own
+    dimensions. On a dense pool, a query with at least one dimension in eight
+    nonzero takes the product with the whole matrix instead.
 
     Similarities that are equal after rounding to 12 decimals are ties, and
     ties go by ascending id; the similarities returned are not rounded. A zero
@@ -278,9 +256,7 @@ def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Exam
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    query = index.embedder.embed(utterance)
-    norm = np.linalg.norm(query)
-    unit = query / norm if norm > 0 else query
+    unit = index.embedder.embed(utterance)
     cols = np.flatnonzero(unit)
     rows, values = index.rows, index.values
     if rows is None and _dense(len(cols), len(unit)):

@@ -851,7 +851,13 @@ _MALFORMED_VOCABS = {
     "eos_id\t1\n\n0\tA\n\n\nno tab here\n": "{path}:6: expected token_id<TAB>text",
     "eos_id\t1\n\n0\tA\n\nx1\tB\n": "{path}:5: bad token id 'x1'",
     "eos_id\t1\n\n0\tA\n1\t\\t\n\n2\t\\x\n": "{path}:6: bad escape in token text '\\\\x'",
-    "eos_id\t1\n0\tA\n\n\n 7\tB\n": "{path}: eos_id 1 not among token ids",  # int(" 7")
+    # An id is read only as save_vocab writes it, though int() would take these.
+    "eos_id\t1\n0\tA\n\n\n 7\tB\n": "{path}:5: bad token id ' 7'",
+    "eos_id\t0\n0\tA\n1_0\tB\n": "{path}:3: bad token id '1_0'",
+    "eos_id\t0\n0\tA\n+7\tB\n": "{path}:3: bad token id '+7'",
+    "eos_id\t0\n0\tA\n07\tB\n": "{path}:3: bad token id '07'",
+    "eos_id\t07\n7\tA\n": "{path}:1: bad eos_id",
+    "eos_id\t+7\n7\tA\n": "{path}:1: bad eos_id",
 }
 
 

@@ -106,9 +106,7 @@ def test_build_index_counts_and_duplicates():
     rows = _unit_rows(index)
     assert np.array_equal(rows[0], rows[3])
     for row, ex in zip(rows, pool):
-        vec = emb.embed(ex.utterance)
-        norm = np.linalg.norm(vec)
-        assert row.tobytes() == (vec / norm if norm > 0 else vec).tobytes()
+        assert row.tobytes() == emb.embed(ex.utterance).tobytes()
 
 
 def test_build_index_keeps_a_sparse_pool_as_posting_lists():
@@ -315,13 +313,12 @@ def _matrix_build_index(examples, embedder):
         raise ValueError("cannot build an index over zero examples")
     vectors = np.empty((len(examples), embedder.dimension), dtype=np.float64, order="F")
     for row, ex in zip(vectors, examples):
-        vec = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
-        if len(vec) != embedder.dimension:
+        unit = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
+        if len(unit) != embedder.dimension:
             raise ValueError(
-                f"embedder dimension mismatch: {len(vec)} != {embedder.dimension}"
+                f"embedder dimension mismatch: {len(unit)} != {embedder.dimension}"
             )
-        norm = np.linalg.norm(vec)
-        row[:] = vec / norm if norm > 0 else vec
+        row[:] = unit
     return _MatrixIndex(tuple(examples), vectors, embedder)
 
 
@@ -330,9 +327,7 @@ def _matrix_retrieve_scored(index, utterance, k):
     query with at least one dimension in eight nonzero takes the matrix product."""
     if k <= 0:
         raise ValueError("k must be positive")
-    query = index.embedder.embed(utterance)
-    norm = np.linalg.norm(query)
-    unit = query / norm if norm > 0 else query
+    unit = index.embedder.embed(utterance)
     cols = np.flatnonzero(unit)
     if 8 * len(cols) < len(unit):
         sims = np.zeros(len(index.vectors))
@@ -424,11 +419,9 @@ def _per_example_build_index(examples, embedder):
     nonzeros = 0
     matrix = None
     for i, ex in enumerate(examples):
-        vec = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
-        if len(vec) != dim:
-            raise ValueError(f"embedder dimension mismatch: {len(vec)} != {dim}")
-        norm = np.linalg.norm(vec)
-        unit = vec / norm if norm > 0 else vec
+        unit = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
+        if len(unit) != dim:
+            raise ValueError(f"embedder dimension mismatch: {len(unit)} != {dim}")
         if matrix is not None:
             matrix[i] = unit
             continue
@@ -479,8 +472,6 @@ def _same_arrays(got, want):
 def test_batch_build_index_is_bitwise_the_per_example_build(case, dimension, cache_bound):
     # Empty and duplicate utterances, an all-empty pool, dense pools at small
     # dimensions, and a word cache that fills up in the middle of the batch.
-    # Rows of five words or more are where a row's length depends on the order
-    # its squares are summed in, which must be the dense dot's.
     utterances, ids, _query, _k = case
     pool = _examples([(i, u, "A ( )") for i, u in zip(ids, utterances)])
     want = _per_example_build_index(pool, _LoopHashedEmbedder(dimension))
@@ -533,20 +524,47 @@ def test_build_index_embeds_the_pool_in_one_embed_pool_call(monkeypatch, embedde
     assert (index.matrix is not None) == dense
 
 
-@given(st.lists(st.one_of(st.text(), _phrases), min_size=1, max_size=6),
-       st.sampled_from([4, 1024]))
-@example(["", "?!, ...", "Show MY alarms!", "rain rain"], 1024)
-@example(["", "--"], 4)
-def test_query_embed_is_the_batch_row(texts, dimension):
-    # A query and a pool row share one rule: embed(t) is the dense form of t's
-    # row in the batch, byte for byte, and text with no word is a zero row.
-    emb = HashedBowEmbedder(dimension)
-    rows, cols, values = emb.embed_nonzeros(texts)
-    for i, text in enumerate(texts):
-        dense = np.zeros(dimension)
-        dense[cols[rows == i]] = values[rows == i]
-        assert emb.embed(text).tobytes() == dense.tobytes()
-        assert dense.tobytes() == _LoopHashedEmbedder(dimension).embed(text).tobytes()
+@st.composite
+def _embedded_pools(draw):
+    """An embedder and the keys of a pool: texts for a hashed one (at D=4 a pool
+    is mostly dense, at D=1024 sparse), or the ids of precomputed vectors."""
+    if draw(st.booleans()):
+        texts = draw(st.lists(st.one_of(st.text(), _phrases), min_size=1, max_size=6))
+        return HashedBowEmbedder(draw(st.sampled_from([4, 1024]))), texts
+    rows, ids, _query, _k = draw(_vector_pools())
+    return PrecomputedEmbedder(dict(zip(ids, rows))), ids
+
+
+@given(_embedded_pools())
+@example((HashedBowEmbedder(1024), ["", "?!, ...", "Show MY alarms!", "rain rain"]))
+@example((HashedBowEmbedder(4), ["", "--"]))
+@example((PrecomputedEmbedder({"p1": _at_64(0, 5), "p2": _at_64(9), "p3": np.zeros(64)}),
+          ["p1", "p2", "p3"]))
+@example((PrecomputedEmbedder({"b": np.array([1.0, 1.0, 0.0]), "a": np.zeros(3),
+                               "c": np.array([0.3, -0.3, 2.0])}), ["b", "a", "c"]))
+# Dense as read, and the 5e-324 entries underflow to 0 when divided by the
+# length 3: the unit rows of the first pool are sparse, the second's dense.
+@example((PrecomputedEmbedder({"b": np.array([3.0] + [5e-324] * 7 + [0.0] * 56),
+                               "a": np.array([3.0] + [5e-324] * 7 + [0.0] * 56)}), ["b", "a"]))
+@example((PrecomputedEmbedder({"b": np.array([3.0, 5e-324, 5e-324]),
+                               "a": np.array([1.0, 2.0, 0.0])}), ["b", "a"]))
+def test_query_embed_is_the_batch_row(case):
+    # A query and a pool row share one rule: embed(k) is k's row of
+    # embed_pool, byte for byte, in the form the pool came in, and a zero
+    # vector (text with no word) is a zero row.
+    emb, keys = case
+    pool = emb.embed_pool(keys)
+    for i, key in enumerate(keys):
+        query = emb.embed(key)
+        if isinstance(pool, np.ndarray):
+            assert pool[i].tobytes() == query.tobytes()
+        else:
+            rows, cols, values = pool
+            at = rows == i
+            assert np.array_equal(cols[at], np.flatnonzero(query))
+            assert values[at].tobytes() == query[cols[at]].tobytes()
+        if isinstance(emb, HashedBowEmbedder):
+            assert query.tobytes() == _LoopHashedEmbedder(emb.dimension).embed(key).tobytes()
 
 
 @pytest.mark.parametrize("dimension", [0, -1])

@@ -26,20 +26,15 @@ _MAX_CACHED_TOKENS = 1 << 14  # distinct words whose bucket one HashedBowEmbedde
 PoolRows = tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray  # see Embedder.embed_pool
 
 
-def _dense(nonzeros: int, entries: int) -> bool:
-    """At least one entry in eight nonzero: a pool is kept as a matrix, and a
-    query against it takes the whole product."""
-    return 8 * nonzeros >= entries
-
-
 class Embedder(Protocol):
     """Embeds a query (``embed``) or a whole pool (``embed_pool``) as unit
     vectors, a zero vector left zero.
 
-    ``embed_pool(keys)`` gives the rows ``embed(k)`` for each key as nonzeros
-    (row, dimension, value), ordered by row and then by dimension, or, if they
-    are ``_dense``, as a column-major (P, D) matrix. A key is an example's id
-    if ``keyed_by_id``, else its utterance."""
+    ``embed_pool(keys)`` gives the rows ``embed(k)`` for each key either as
+    nonzeros (row, dimension, value), ordered by row and then by dimension, or
+    as a column-major (P, D) matrix. The embedder picks which; the choice
+    affects speed only. A key is an example's id if ``keyed_by_id``, else its
+    utterance."""
 
     dimension: int
     keyed_by_id: bool
@@ -58,8 +53,8 @@ class HashedBowEmbedder:
 
     Each lowercased word adds 1 to the bucket its SHA-1 picks, and the counts
     are scaled to unit length. ``embed`` (one text, a query) and
-    ``embed_nonzeros`` (a whole pool, in one batch, for ``embed_pool``) take
-    the buckets from the same ``_bucket_ids``, so a text gets one vector."""
+    ``embed_pool`` (a whole pool, in one batch) take the buckets from the
+    same ``_bucket_ids``, so a text gets one vector."""
 
     keyed_by_id = False
 
@@ -90,7 +85,7 @@ class HashedBowEmbedder:
             vec /= norm
         return vec
 
-    def embed_nonzeros(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def embed_pool(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzeros of ``embed(t)`` for each ``t`` in ``texts``, as three
         arrays (row, dimension, value), ordered by row and then by dimension.
 
@@ -105,14 +100,6 @@ class HashedBowEmbedder:
         counts = counts.astype(np.float64)
         norms = np.sqrt(np.bincount(rows, counts * counts, minlength=len(texts)))
         return rows, cols, counts / norms[rows]
-
-    def embed_pool(self, texts: list[str]) -> PoolRows:
-        rows, cols, values = self.embed_nonzeros(texts)
-        if not _dense(len(values), len(texts) * self.dimension):
-            return rows, cols, values
-        matrix = np.zeros((len(texts), self.dimension), order="F")
-        matrix[rows, cols] = values
-        return matrix
 
 
 class PrecomputedEmbedder:
@@ -145,21 +132,16 @@ class PrecomputedEmbedder:
 
     def embed_pool(self, keys: list[str]) -> PoolRows:
         """Each vector (a missing id raises as in ``embed``) divided by its
-        length, as ``embed`` divides it. A division may zero an entry (an
-        underflow) but never makes one nonzero, so the raw nonzeros, counted
-        until they show the pool dense, bound the unit rows': a pool they show
-        dense is divided straight into its matrix, and kept if still dense."""
+        length, as ``embed`` divides it: as the matrix if at least one stored
+        entry in eight is nonzero, else as nonzeros."""
         vectors = [self.vectors[k] if k in self.vectors else self.embed(k) for k in keys]
         n, dim = len(vectors), self.dimension
         norms = [np.linalg.norm(v) for v in vectors]
-        if any(_dense(c, n * dim) for c in itertools.accumulate(map(np.count_nonzero, vectors))):
+        if any(8 * c >= n * dim for c in itertools.accumulate(map(np.count_nonzero, vectors))):
             matrix = np.empty((n, dim), order="F")
             for row, vec, norm in zip(matrix, vectors, norms):
                 np.divide(vec, norm if norm > 0 else 1.0, out=row)
-            if _dense(np.count_nonzero(matrix), n * dim):
-                return matrix
-            rows, cols = np.nonzero(matrix)
-            return rows, cols, matrix[rows, cols]
+            return matrix
         units = [vec / norm if norm > 0 else vec for vec, norm in zip(vectors, norms)]
         cols = [np.flatnonzero(unit) for unit in units]
         rows = np.repeat(np.arange(n), [len(c) for c in cols])
@@ -203,18 +185,15 @@ def save_embeddings(vectors: Mapping[str, np.ndarray], path: str | Path) -> None
 
 @dataclass(frozen=True)
 class DemoIndex:
-    """The pool's unit rows as ``embed_pool`` gave them, as one posting list
-    per dimension: ``rows[d]`` holds the numbers of the rows (in the order of
-    ``examples``) that are nonzero in dimension ``d``, ascending, and
-    ``values[d]`` their values in it.
-
-    A dense pool keeps the column-major (P, D) ``matrix`` ``embed_pool`` gave
-    instead; ``rows`` is None, and ``values[d]`` is the matrix's column ``d``,
-    so every row is listed. A sparse pool has no matrix."""
+    """The pool's unit rows, in the order of ``examples``, in the layout
+    ``embed_pool`` gave: the column-major (P, D) ``matrix``, or one posting
+    list per dimension, ``rows[d]`` the ascending numbers of the rows nonzero
+    in dimension ``d`` and ``values[d]`` their values in it. The other
+    layout's fields are None."""
 
     examples: tuple[Example, ...]
     rows: tuple[np.ndarray, ...] | None
-    values: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...] | None
     matrix: np.ndarray | None
     embedder: Embedder
 
@@ -225,7 +204,7 @@ def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
         raise ValueError("cannot build an index over zero examples")
     pool = embedder.embed_pool([ex.id if embedder.keyed_by_id else ex.utterance for ex in examples])
     if isinstance(pool, np.ndarray):
-        return DemoIndex(tuple(examples), None, tuple(pool.T), pool, embedder)
+        return DemoIndex(tuple(examples), None, None, pool, embedder)
     # Sorting the nonzeros by dimension, stably, keeps each list's rows ascending.
     rows, cols, values = pool
     order = np.argsort(cols, kind="stable")
@@ -242,13 +221,8 @@ def build_index(examples: list[Example], embedder: Embedder) -> DemoIndex:
 
 
 def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Example, float]]:
-    """Top-k entries by cosine similarity, most similar first.
-
-    For each nonzero dimension of the query, ``embed``'s unit vector as it is,
-    in ascending order, the dimension's posting list times the query's value
-    there is added into the similarities, so a query reads only its own
-    dimensions. On a dense pool, a query with at least one dimension in eight
-    nonzero takes the product with the whole matrix instead.
+    """Top-k entries by cosine similarity, most similar first: the dot
+    product of each unit row with the query's ``embed``.
 
     Similarities that are equal after rounding to 12 decimals are ties, and
     ties go by ascending id; the similarities returned are not rounded. A zero
@@ -257,24 +231,21 @@ def retrieve_scored(index: DemoIndex, utterance: str, k: int) -> list[tuple[Exam
     if k <= 0:
         raise ValueError("k must be positive")
     unit = index.embedder.embed(utterance)
-    cols = np.flatnonzero(unit)
     rows, values = index.rows, index.values
-    if rows is None and _dense(len(cols), len(unit)):
+    if index.matrix is not None:
         sims = index.matrix @ unit
-    elif rows is not None and len(cols):
+    elif len(cols := np.flatnonzero(unit)):
         picked = cols.tolist()
         hits = np.concatenate([rows[col] for col in picked])
         products = np.concatenate([values[col] * w for col, w in zip(picked, unit[cols].tolist())])
         # bincount adds the products in the order given, so each row sums its
-        # dimensions in ascending order, as the loop below does; when no row is
-        # hit, it returns integer zeros.
+        # dimensions in ascending order; when no row is hit, it returns
+        # integer zeros.
         sims = np.bincount(hits, products, minlength=len(index.examples)).astype(
             np.float64, copy=False
         )
     else:
         sims = np.zeros(len(index.examples))
-        for col, weight in zip(cols.tolist(), unit[cols].tolist()):
-            sims += values[col] * weight
     rounded = np.round(sims, 12)
     candidates = range(len(sims))
     if k < len(sims):

@@ -123,7 +123,7 @@ def test_build_index_keeps_a_sparse_pool_as_posting_lists():
 
 
 def test_build_index_holds_one_copy_of_the_pool():
-    # A dense pool keeps the column-major matrix, and its columns are its lists.
+    # A dense pool keeps the column-major matrix and no posting lists.
     rng = np.random.default_rng(5)
     vectors = {f"p{i}": rng.standard_normal(1024) for i in range(1000)}
     pool = _examples([(key, "u", "A ( )") for key in vectors])
@@ -135,8 +135,7 @@ def test_build_index_holds_one_copy_of_the_pool():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * index.matrix.nbytes
-    assert index.rows is None and index.matrix.flags.f_contiguous
-    assert all(np.shares_memory(col, index.matrix) for col in index.values)
+    assert index.rows is None and index.values is None and index.matrix.flags.f_contiguous
     for row, key in zip(index.matrix, vectors):
         assert np.array_equal(row, vectors[key] / np.linalg.norm(vectors[key]))
 
@@ -260,8 +259,9 @@ def test_retrieve_scored_matches_cosine_oracle(case):
 
 
 _vectors = st.tuples(*[st.integers(-1, 2)] * 3)
-# Up to 12 nonzeros in 64 dimensions: a query with at most 7 reads its columns
-# in retrieve_scored, a denser one takes the whole-matrix product.
+# Up to 12 nonzeros in 64 dimensions: pools sparse (posting lists) and dense
+# (at least 8 nonzeros a row on average, a matrix), and queries that the matrix
+# oracle ranks by summing their columns (at most 7 nonzeros) or by the product.
 _sparse_vectors = st.dictionaries(st.integers(0, 63), st.integers(-1, 2), max_size=12).map(
     lambda entries: tuple(entries.get(i, 0) for i in range(64)))
 
@@ -292,7 +292,7 @@ def _at_64(*entries):
           _at_64(*range(64)), 2))
 def test_retrieve_scored_matches_cosine_oracle_on_precomputed_vectors(case):
     # Scaled copies of one direction, zero vectors, a zero query and k above the
-    # pool size; at D=64 a sparse query reads only its columns, a dense one all.
+    # pool size; pools of both layouts, with sparse and dense queries.
     rows, ids, query, k = case
     vectors = {"?query": query, **dict(zip(ids, rows))}
     pool = _examples([(i, "u", "A ( )") for i in ids])
@@ -350,12 +350,12 @@ def _assert_matches_matrix_oracle(pool, embedder, query, k):
     oracle_index = _matrix_build_index(pool, embedder)
     want = [(e.id, s) for e, s in _matrix_retrieve_scored(oracle_index, query, k)]
     got = [(e.id, s) for e, s in retrieve_scored(index, query, k)]
-    if 8 * np.count_nonzero(embedder.embed(query)) < embedder.dimension:
+    if index.matrix is None and 8 * np.count_nonzero(embedder.embed(query)) < embedder.dimension:
         # The oracle summed the query's columns, in the order the lists are read.
         assert got == want
         return
-    # The oracle took the matrix product, which may sum in another order; away
-    # from a rounding boundary, the order and similarities still agree.
+    # One of the two took the matrix product, which may sum in another order;
+    # away from a rounding boundary, the order and similarities still agree.
     everything = _matrix_retrieve_scored(oracle_index, query, len(pool))
     assume(all(abs(abs(s) * 1e12 % 1 - 0.5) > 1e-3 for _e, s in everything))
     assert [i for i, _s in got] == [i for i, _s in want]
@@ -410,32 +410,25 @@ class _LoopHashedEmbedder:
 
 
 def _per_example_build_index(examples, embedder):
-    """The index built by embedding one example at a time, kept as an oracle."""
+    """The index built by embedding one example at a time, kept as an oracle:
+    a precomputed pool with at least one stored entry in eight nonzero is a
+    matrix, any other pool posting lists."""
     if not examples:
         raise ValueError("cannot build an index over zero examples")
     n, dim = len(examples), embedder.dimension
-    cols = []
-    vals = []
-    nonzeros = 0
-    matrix = None
-    for i, ex in enumerate(examples):
-        unit = embedder.embed(ex.id if embedder.keyed_by_id else ex.utterance)
+    keys = [ex.id if embedder.keyed_by_id else ex.utterance for ex in examples]
+    units = [embedder.embed(key) for key in keys]
+    for unit in units:
         if len(unit) != dim:
             raise ValueError(f"embedder dimension mismatch: {len(unit)} != {dim}")
-        if matrix is not None:
-            matrix[i] = unit
-            continue
-        nz = np.flatnonzero(unit)
-        cols.append(nz.astype(np.int32))
-        vals.append(unit[nz])
-        nonzeros += len(nz)
-        if 8 * nonzeros >= n * dim:
-            matrix = np.zeros((n, dim), dtype=np.float64, order="F")
-            for row, (c, v) in enumerate(zip(cols, vals)):
-                matrix[row, c] = v
-            cols, vals = [], []
-    if matrix is not None:
-        return DemoIndex(tuple(examples), None, tuple(matrix.T), matrix, embedder)
+    if isinstance(embedder, PrecomputedEmbedder) and (
+            8 * sum(np.count_nonzero(embedder.vectors[key]) for key in keys) >= n * dim):
+        matrix = np.zeros((n, dim), dtype=np.float64, order="F")
+        for row, unit in zip(matrix, units):
+            row[:] = unit
+        return DemoIndex(tuple(examples), None, None, matrix, embedder)
+    cols = [np.flatnonzero(unit) for unit in units]
+    vals = [unit[c] for unit, c in zip(units, cols)]
     flat_cols = np.concatenate(cols)
     order = np.argsort(flat_cols, kind="stable")
     rows = np.repeat(np.arange(n), [len(c) for c in cols])[order]
@@ -488,12 +481,12 @@ def test_batch_build_index_is_bitwise_the_per_example_build(case, dimension, cac
 @given(_vector_pools())
 @example(([np.array([1.0, 1.0, 0.0]), np.zeros(3), np.array([0.3, -0.3, 2.0]), np.zeros(3)],
           ["b", "a", "c", "d"], np.zeros(3), 1))
-# 8 nonzeros in 64, dense as read, of which 7 underflow to 0 when divided by the
-# length 3, so the unit rows are sparse and keep posting lists.
+# 8 nonzeros in 64, dense as stored, of which 7 underflow to 0 when divided by
+# the length 3: the pool is a matrix, though its unit rows are sparse.
 @example(([np.array([3.0] + [5e-324] * 7 + [0.0] * 56)] * 2, ["b", "a"], np.zeros(64), 1))
 def test_precomputed_build_index_is_bitwise_the_per_example_build(case):
-    # Dense pools at D=3 write their later rows, zero rows among them, straight
-    # into the matrix; sparse ones at D=64 keep posting lists.
+    # Dense pools at D=3, zero rows among them, are matrices; sparse ones at
+    # D=64 keep posting lists.
     rows, ids, _query, _k = case
     emb = PrecomputedEmbedder(dict(zip(ids, rows)))
     pool = _examples([(i, "u", "A ( )") for i in ids])
@@ -506,13 +499,14 @@ def test_precomputed_build_index_is_bitwise_the_per_example_build(case):
 
 @pytest.mark.parametrize("embedder, dense", [
     (HashedBowEmbedder(), False),
-    (HashedBowEmbedder(4), True),
+    (HashedBowEmbedder(4), False),
     (PrecomputedEmbedder({"p1": _at_64(0, 5), "p2": _at_64(9), "p3": np.zeros(64)}), False),
     (PrecomputedEmbedder({"p1": np.ones(3), "p2": np.arange(3.0), "p3": np.zeros(3)}), True),
 ], ids=["hashed-sparse", "hashed-dense", "precomputed-sparse", "precomputed-dense"])
 def test_build_index_embeds_the_pool_in_one_embed_pool_call(monkeypatch, embedder, dense):
     # Sparse and dense pools of both embedders take one path: one embed_pool
-    # call for the whole pool, and no embed call per example.
+    # call for the whole pool, and no embed call per example. A hashed pool is
+    # posting lists however dense; a dense precomputed pool is a matrix.
     calls = {"embed": 0, "embed_pool": 0}
     for name in calls:
         def counted(self, arg, _name=name, _method=getattr(type(embedder), name)):
@@ -542,8 +536,8 @@ def _embedded_pools(draw):
           ["p1", "p2", "p3"]))
 @example((PrecomputedEmbedder({"b": np.array([1.0, 1.0, 0.0]), "a": np.zeros(3),
                                "c": np.array([0.3, -0.3, 2.0])}), ["b", "a", "c"]))
-# Dense as read, and the 5e-324 entries underflow to 0 when divided by the
-# length 3: the unit rows of the first pool are sparse, the second's dense.
+# Dense as stored, so both pools are matrices, and the 5e-324 entries
+# underflow to 0 when divided by the length 3.
 @example((PrecomputedEmbedder({"b": np.array([3.0] + [5e-324] * 7 + [0.0] * 56),
                                "a": np.array([3.0] + [5e-324] * 7 + [0.0] * 56)}), ["b", "a"]))
 @example((PrecomputedEmbedder({"b": np.array([3.0, 5e-324, 5e-324]),
@@ -565,6 +559,48 @@ def test_query_embed_is_the_batch_row(case):
             assert values[at].tobytes() == query[cols[at]].tobytes()
         if isinstance(emb, HashedBowEmbedder):
             assert query.tobytes() == _LoopHashedEmbedder(emb.dimension).embed(key).tobytes()
+
+
+class _OtherLayout:
+    """The wrapped embedder, with ``embed_pool`` giving its rows in the other layout."""
+
+    def __init__(self, inner):
+        self.inner, self.dimension, self.keyed_by_id = inner, inner.dimension, inner.keyed_by_id
+
+    def embed(self, key):
+        return self.inner.embed(key)
+
+    def embed_pool(self, keys):
+        pool = self.inner.embed_pool(keys)
+        if isinstance(pool, np.ndarray):
+            rows, cols = np.nonzero(pool)  # in row-major order, whatever the memory order
+            return rows, cols, pool[rows, cols]
+        rows, cols, values = pool
+        matrix = np.zeros((len(keys), self.dimension), order="F")
+        matrix[rows, cols] = values
+        return matrix
+
+
+@given(_embedded_pools())
+@example((HashedBowEmbedder(4), ["show my", "", "show my rain", "jazz"]))
+@example((PrecomputedEmbedder({"p1": _at_64(0, 5), "p2": _at_64(9), "p3": np.zeros(64)}),
+          ["p1", "p2", "p3"]))
+@example((PrecomputedEmbedder({"b": np.array([1.0, 1.0, 0.0]), "a": np.zeros(3),
+                               "c": np.array([0.3, -0.3, 2.0])}), ["b", "a", "c"]))
+def test_both_layouts_rank_alike(case):
+    # The layout embed_pool picks affects speed only: a pool's matrix and its
+    # posting lists rank every pool key, as a query, alike.
+    emb, keys = case
+    ids = keys if emb.keyed_by_id else [f"i{n}" for n in range(len(keys))]
+    pool = _examples([(i, key, "A ( )") for i, key in zip(ids, keys)])
+    index, other = build_index(pool, emb), build_index(pool, _OtherLayout(emb))
+    assert (index.matrix is None) != (other.matrix is None)
+    for query in keys:
+        got = retrieve_scored(index, query, len(keys) + 1)
+        want = retrieve_scored(other, query, len(keys) + 1)
+        assume(all(abs(abs(s) * 1e12 % 1 - 0.5) > 1e-3 for _e, s in got))
+        assert [e.id for e, _s in got] == [e.id for e, _s in want]
+        assert all(abs(g - w) < 1e-12 for (_e, g), (_f, w) in zip(got, want))
 
 
 @pytest.mark.parametrize("dimension", [0, -1])

@@ -297,7 +297,10 @@ def _next_chars(names: frozenset[str]) -> dict[str, str]:
 
 
 class DecodeSession:
-    """Immutable compiled tables shared by all states of one decoding run."""
+    """Immutable compiled tables shared by all states of one decoding run.
+
+    ``max_string_len`` bounds the characters between a string's quotes as
+    written, an escape counting two; ``max_depth`` bounds how deep calls nest."""
 
     def __init__(
         self,
@@ -372,8 +375,8 @@ class DecodeSession:
             return None
         if mode is _M_STRING:
             if esc:
-                if ch in (_QUOTE, _BACKSLASH):
-                    return (_M_STRING, stack, "", "", False, str_len + 1, False)
+                if ch in (_QUOTE, _BACKSLASH):  # the escape is two characters as written
+                    return (_M_STRING, stack, "", "", False, str_len + 2, False)
                 return None
             if ch == _QUOTE:
                 return (_M_COMMA_OR_CLOSE, stack, "", " ", False, 0, False)

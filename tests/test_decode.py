@@ -360,6 +360,28 @@ def test_escape_inside_string():
     assert call.args[0][1] == '"a'
 
 
+@pytest.mark.parametrize("max_string_len", range(4))
+def test_max_string_len_counts_the_characters_between_the_quotes(max_string_len):
+    # An escape takes two characters of the room, as written: a body of a, \"
+    # and \\ completes exactly when its written length is within the limit,
+    # stepped a character at a time through the mask and as one text.
+    spec = ApiSpec(frozenset({"F"}), frozenset({"A"}), {"F": frozenset({"A"})})
+    vocab = genutil.char_vocab(spec)
+    by_text = dict((t, i) for i, t in vocab.tokens)
+    start = new_session(spec, vocab, max_string_len=max_string_len)
+    for n in range(max_string_len + 2):
+        for body in map("".join, itertools.product(["a", '\\"', "\\\\"], repeat=n)):
+            text, fits = f'F ( A = "{body}" )', len(body) <= max_string_len
+            end = start.session.step_text(start.config, text)
+            assert (end is not None and end[0] is Mode.COMPLETE) == fits, body
+            state = start
+            for ch in text:
+                if by_text[ch] not in allowed_tokens(state):
+                    break
+                state = advance(state, by_text[ch])
+            assert state.is_complete == fits, body
+
+
 def test_eos_only_when_complete():
     spec = GET_ALARMS_SPEC
     vocab = genutil.char_vocab(spec)

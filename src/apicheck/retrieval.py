@@ -132,8 +132,8 @@ class PrecomputedEmbedder:
 
     def embed_pool(self, keys: list[str]) -> PoolRows:
         """Each vector (a missing id raises as in ``embed``) divided by its
-        length, as ``embed`` divides it: as the matrix if at least one stored
-        entry in eight is nonzero, else as nonzeros."""
+        length, as ``embed`` divides it: as the column-major (P, D) matrix if
+        at least one stored entry in eight is nonzero, else as nonzeros."""
         vectors = [self.vectors[k] if k in self.vectors else self.embed(k) for k in keys]
         n, dim = len(vectors), self.dimension
         norms = [np.linalg.norm(v) for v in vectors]

@@ -475,7 +475,6 @@ def test_batch_build_index_is_bitwise_the_per_example_build(case, dimension, cac
     assert _same_arrays(got.values, want.values)
     assert _same_arrays(None if got.matrix is None else [got.matrix],
                         None if want.matrix is None else [want.matrix])
-    assert got.matrix is None or got.matrix.flags.f_contiguous
 
 
 @given(_vector_pools())

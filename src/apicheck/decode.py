@@ -20,14 +20,14 @@ identifiers, so no name holds ``" "`` and every emitted name parses back.
 ``advance`` and the mask share one survival rule, ``step_text``: it steps one
 character at a time, but plain string content (a ``[^"\\]*`` run, no escape
 pending) in one step, which survives exactly when it fits the room left. The
-mask walks the token texts, kept sorted, as an implicit trie: it feeds each
-distinct next character of a range to the automaton once and skips the whole
-range at its first dead character. Inside a string, a token without a quote or
-backslash is one run, so when the room fits the longest, a step returns a view
-over the session's one shared set of them, not a copy; every other token is
-grouped by its run's length and the rest, and one text per group is stepped.
-The walk steps a range that enters a string text by text, so it never recurses
-through string content.
+mask walks the sorted token texts as an implicit trie: each distinct next
+character of a range is stepped once, and a dead one drops its whole range.
+Inside a string, or past ``_WALK_DEPTH`` characters, the walk steps each text
+of a range on its own through ``step_text`` instead, so it never recurses
+through string content. The InString mask is no walk: a plain token is one
+run, so when the room fits the longest, the mask is a view over the session's
+one shared set of them, not a copy; every other token is grouped by its run's
+length and the rest, and one text per group is stepped.
 
 A session's vocabulary half (sorted texts, string tables, the texts spellability
 reads) is a ``VocabIndex``, built in bulk from the ``Vocab`` alone.
@@ -340,8 +340,6 @@ class DecodeSession:
 
     def _step_char(self, cfg, ch: str):
         mode, stack, prefix, lit, allow_close, str_len, esc = cfg
-        if mode is _M_COMPLETE:
-            return None
         if lit:
             if ch != lit[0]:
                 return None
@@ -397,12 +395,6 @@ class DecodeSession:
 
     def step_text(self, cfg, text: str):
         """``cfg`` after ``text``, or None if it dies; a plain string run is one step."""
-        if cfg[0] is not _M_STRING and _QUOTE not in text:  # no string content: no runs
-            for ch in text:
-                cfg = self._step_char(cfg, ch)
-                if cfg is None:
-                    return None
-            return cfg
         pos, end = 0, len(text)
         while pos < end:
             if cfg[0] is _M_STRING and not cfg[6] and text[pos] not in '"\\':
@@ -426,17 +418,20 @@ class DecodeSession:
         """Append the ids in ``[lo, hi)`` whose text survives from ``cfg``.
 
         Every text in the range shares its first ``depth`` characters, which
-        have already taken the automaton to ``cfg``. The texts that go on with
-        one character form one sub-range, found by bisection; the character is
-        stepped once, and if it dies the whole sub-range is dropped. A
-        sub-range that enters a string, and every range past ``_WALK_DEPTH``
-        characters, is stepped text by text, so the recursion stays bounded.
+        have already taken the automaton to ``cfg``. Inside a string, or past
+        ``_WALK_DEPTH`` characters, each text's rest is stepped on its own by
+        ``step_text``, so the recursion stays bounded. Otherwise the texts that
+        go on with one character form one sub-range, found by bisection; the
+        character is stepped once, and if it dies the whole sub-range is dropped.
         """
-        if depth > _WALK_DEPTH:
-            return self._step_each(cfg, lo, hi, depth, out)
-        texts = self._texts
+        texts, ids = self._texts, self._ids
+        if cfg[0] is _M_STRING or depth > _WALK_DEPTH:
+            for i in range(lo, hi):
+                if self.step_text(cfg, texts[i][depth:]) is not None:
+                    out.append(ids[i])
+            return
         while lo < hi and len(texts[lo]) == depth:
-            out.append(self._ids[lo])
+            out.append(ids[lo])
             lo += 1
         while lo < hi:
             text = texts[lo]
@@ -447,16 +442,8 @@ class DecodeSession:
                 end = bisect_left(texts, text[:depth] + chr(ord(ch) + 1), lo, hi)
             nxt = self._step_char(cfg, ch)
             if nxt is not None:
-                walk = self._step_each if nxt[0] is _M_STRING else self._walk
-                walk(nxt, lo, end, depth + 1, out)
+                self._walk(nxt, lo, end, depth + 1, out)
             lo = end
-
-    def _step_each(self, cfg, lo: int, hi: int, depth: int, out: list[int]) -> None:
-        """Append the ids in ``[lo, hi)`` whose text from ``depth`` on survives, one by one."""
-        texts = self._texts
-        for i in range(lo, hi):
-            if self.step_text(cfg, texts[i][depth:]) is not None:
-                out.append(self._ids[i])
 
     def _string_mask(self, cfg) -> Set[int]:
         """The mask inside a string: the plain tokens that fit the room left and
@@ -527,7 +514,10 @@ def advance(state: DecodeState, token_id: int) -> DecodeState:
         raise DisallowedTokenError(f"token {token_id} after completion")
     if token_id == session.vocab.eos_id:
         raise DisallowedTokenError("eos before completion")
-    text = session.vocab.text_of(token_id)
+    try:
+        text = session.vocab.text_of(token_id)
+    except KeyError:
+        raise DisallowedTokenError(f"token {token_id!r} not in the vocab") from None
     cfg = session.step_text(state.config, text) if text else None
     if cfg is None:
         raise DisallowedTokenError(f"token {token_id} ({text!r}) not allowed here")

@@ -182,13 +182,10 @@ def load_examples(path: str | Path, require_api_call: bool = False) -> list[Exam
             raise ExampleFormatError(f"{path}:{lineno}: record needs api_call or top_parse")
         if require_api_call and api_call is None:
             raise ExampleFormatError(f"{path}:{lineno}: record lacks api_call")
-        try:
-            call = None if api_call is None else parse(api_call)
+        try:  # the constructor parses api_call
+            out.append(Example(rec["id"], rec["domain"], rec["utterance"], api_call, top_parse))
         except ParseError as e:
             raise ExampleFormatError(f"{path}:{lineno}: api_call does not parse ({e})") from e
-        out.append(
-            Example._parsed(rec["id"], rec["domain"], rec["utterance"], api_call, top_parse, call)
-        )
     return out
 
 

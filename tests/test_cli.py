@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -333,6 +334,41 @@ def test_retrieve_command(toy_files, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].split("\t")[0] == "e1"
+
+
+def _dense_pool(rng):
+    return rng.standard_normal((2000, 256))
+
+
+def _sparse_pool(rng):  # 8 nonzeros a row
+    vectors = np.zeros((2000, 256))
+    columns = rng.random((2000, 256)).argsort(axis=1)[:, :8]
+    np.put_along_axis(vectors, columns, rng.standard_normal((2000, 8)), axis=1)
+    return vectors
+
+
+def _one_hot_row_pool(rng):
+    return np.vstack([rng.standard_normal((2000, 256)), np.eye(256)[7]])
+
+
+# Seeded 2,000 x 256 pools: a dense one (the matrix index), a sparse one
+# (posting lists), and a dense one plus a one-hot row queried by that row.
+@pytest.mark.parametrize("make_pool, query", [
+    (_dense_pool, "p7"), (_sparse_pool, "p7"), (_one_hot_row_pool, "p2000"),
+], ids=["dense", "sparse", "one-hot"])
+def test_retrieve_command_on_embeddings(make_pool, query, tmp_path, capsys):
+    vectors = make_pool(np.random.default_rng(1))
+    pool, emb = tmp_path / "pool.jsonl", tmp_path / "emb.tsv"
+    pool.write_text("".join(
+        json.dumps({"id": f"p{i}", "domain": "toy", "utterance": "u", "api_call": "A ( )"}) + "\n"
+        for i in range(len(vectors))))
+    emb.write_text("".join(
+        f"p{i}\t" + ",".join(map(repr, v.tolist())) + "\n" for i, v in enumerate(vectors)))
+    argv = ["retrieve", "--pool", str(pool), "--embeddings", str(emb), "--query", query, "--k", "10"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert lines[0] == f"{query}\t1.000000\tu"
 
 
 def test_prompt_command(toy_files, capsys):

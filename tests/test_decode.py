@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from apicheck.constraints import check
+from apicheck.constraints import check, check_call
 from apicheck.decode import (
     _ESCAPES,
     _escape_token,
@@ -37,7 +37,7 @@ from apicheck.decode import (
     overhead_report,
     save_vocab,
 )
-from apicheck.expr import _RUN, parse
+from apicheck.expr import _RUN, ApiCall, escape_string, parse, serialize
 from apicheck.spec import ApiSpec, SpecFormatError, derive_from_corpus
 
 import genutil
@@ -299,10 +299,10 @@ def test_disallowed_token_raises():
     vocab = genutil.char_vocab(spec)
     by_text = dict((t, i) for i, t in vocab.tokens)
     state = new_session(spec, vocab)
-    with pytest.raises(DisallowedTokenError):
-        advance(state, by_text["("])
-    with pytest.raises(DisallowedTokenError):
-        advance(state, vocab.eos_id)
+    # A token the grammar refuses, the eos too early, and ids the vocab does not hold.
+    for token_id in [by_text["("], vocab.eos_id, 99, -1, "x"]:
+        with pytest.raises(DisallowedTokenError, match=f"^token {token_id!r} |^eos "):
+            advance(state, token_id)
 
 
 def test_boundary_spanning_token():
@@ -637,6 +637,98 @@ def test_walk_does_not_recurse_per_character_of_a_long_token(suffixes):
     allowed = allowed_tokens(state)
     assert allowed == scan_oracle(state)
     assert texts.index(nested) in allowed
+
+
+# -- step_text against character steps and the checker -----------------------
+
+
+def _name_pieces(spec, rng):
+    """Spec names whole, split at a random point, one character short or long,
+    and followed by the text after a function name."""
+    pieces = []
+    for name in sorted(spec.functions | spec.arguments):
+        k = rng.randint(0, len(name))
+        pieces += [name, name[:k], name[k:], name[:-1], name + "_", name + " ( "]
+    return [p for p in pieces if p]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_step_text_matches_char_step(seed, data):
+    # Configs of a seeded decode, each also after '"' (into a string) and after
+    # "\\" (an escape pending), stepped by texts that live and die anywhere.
+    rng = random.Random(seed)
+    spec, _calls = genutil.random_corpus_spec(rng, n_calls=6)
+    start = new_session(spec, genutil.char_vocab(spec), rng.randint(0, 6), rng.randint(1, 3))
+    session = start.session
+    configs = []
+    for _ in range(4):
+        for state, _ids in itertools.islice(iter_steps(start, rng.choice), 30):
+            configs += [state.config, char_step(session, state.config, '"'),
+                        char_step(session, state.config, "\\")]
+    configs = [cfg for cfg in configs if cfg is not None]
+    pieces = EDGE_TEXTS + list(genutil.STRUCTURAL_CHARS + "\\") + _name_pieces(spec, rng)
+    texts = data.draw(st.lists(st.lists(st.sampled_from(pieces), min_size=1, max_size=3)
+                               .map("".join), min_size=1, max_size=8))
+    for cfg in configs:
+        for text in texts:
+            got = session.step_text(cfg, text)
+            assert got == char_step(session, cfg, text), (cfg, text)
+            assert got is None or cfg[0] is not Mode.COMPLETE, (cfg, text)
+
+
+def _call_depth(call):
+    return 1 + max((_call_depth(v) for _, v in call.args if isinstance(v, ApiCall)), default=0)
+
+
+def _strings_in(call):
+    for _, value in call.args:
+        yield from [value] if isinstance(value, str) else _strings_in(value)
+
+
+def _near_name(rng, names):
+    """A name of ``names`` or, one time in three, one just off them or any identifier."""
+    name = rng.choice(names)
+    roll = rng.random()
+    if roll < 0.1 and len(name) > 1:
+        return name[:-1]
+    if roll < 0.2:
+        return name + rng.choice(genutil.NAME_ALPHABET)
+    return genutil.random_identifier(rng) if roll < 0.33 else name
+
+
+def _any_call(rng, spec, depth):
+    """A call whose names are in the spec or just off it, nested up to ``depth``,
+    whose strings hold quotes and backslashes."""
+    function = _near_name(rng, sorted(spec.functions))
+    names = sorted(spec.args_for(function)) + sorted(spec.arguments)
+    args = []
+    for _ in range(rng.randint(0, 3)):
+        if depth > 1 and rng.random() < 0.3:
+            value = _any_call(rng, spec, depth - 1)
+        else:
+            value = "".join(rng.choice('ab "\\') for _ in range(rng.randint(0, 4)))
+        args.append((_near_name(rng, names), value))
+    return ApiCall(function, tuple(args))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_step_text_completes_exactly_the_calls_the_checker_passes(seed):
+    # The automaton, bounded by the call's own depth and longest string as
+    # written, must agree with check_call on every call: the mask's guarantee
+    # rests on the one and the metrics on the other.
+    rng = random.Random(seed)
+    spec = genutil.random_toy_spec(rng)
+    vocab = genutil.char_vocab(spec)
+    for _ in range(20):
+        call = _any_call(rng, spec, 3)
+        max_string_len = max(map(len, map(escape_string, _strings_in(call))), default=0)
+        start = new_session(spec, vocab, max_string_len, _call_depth(call))
+        end = start.session.step_text(start.config, serialize(call))
+        complete = end is not None and end[0] is Mode.COMPLETE
+        clean = check_call(call, spec).signature.as_tuple() == (1, 1, 1, 1)
+        assert complete == clean, (serialize(call), end)
 
 
 # -- the vocabulary index against the per-token build ------------------------

@@ -45,7 +45,7 @@ import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Set
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -507,6 +507,8 @@ def allowed_tokens(state: DecodeState) -> Set[int]:
 
 
 def advance(state: DecodeState, token_id: int) -> DecodeState:
+    if type(token_id) is not int:
+        raise DisallowedTokenError(f"token {token_id!r} is not an int id")
     session = state.session
     if state.is_complete:
         if token_id == session.vocab.eos_id:
@@ -576,12 +578,11 @@ def overhead_report(spec: ApiSpec, vocab: Vocab, n_steps: int, seed: int = 17) -
     build_time = time.perf_counter() - t0
 
     rng = random.Random(seed)
-    steps = 0
     t0 = time.perf_counter()
-    while steps < n_steps:
-        # Each state after the first is one step; a walk ends complete or dead.
-        _first, *walked = islice(iter_steps(initial, rng.choice), n_steps - steps + 1)
-        steps += len(walked)
+    # Each state after a walk's first is one step; only the current one is kept.
+    walks = (islice(iter_steps(initial, rng.choice), 1, None) for _ in repeat(None))
+    for _ in islice(chain.from_iterable(walks), n_steps):
+        pass
     constrained = time.perf_counter() - t0
 
     all_ids = [tid for tid, _ in vocab.tokens]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import string
 import sys
 import time
@@ -55,72 +56,15 @@ def _texts(vocab, ids):
     return sorted(vocab.text_of(i) for i in ids)
 
 
-# -- segmentations -----------------------------------------------------------
-
-
-def segmentations(name: str, vocab: Vocab) -> set[tuple[int, ...]]:
-    """All token-id sequences whose texts concatenate exactly to ``name``.
-
-    Position-indexed dynamic programming over reachable offsets, with
-    backtracking to reconstruct every viable sequence. Exponential in the
-    length of ``name``: an oracle for the session's spellability check.
-    """
-    n = len(name)
-    starts: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for tid, text in vocab.tokens:
-        if tid == vocab.eos_id or not text:
-            continue
-        length = len(text)
-        for i in range(n - length + 1):
-            if name.startswith(text, i):
-                starts[i].append((tid, length))
-    reaches_end = [False] * (n + 1)
-    reaches_end[n] = True
-    for i in range(n - 1, -1, -1):
-        reaches_end[i] = any(reaches_end[i + length] for _, length in starts[i])
-    out: set[tuple[int, ...]] = set()
-    if not reaches_end[0] or n == 0:
-        return out
-
-    acc: list[int] = []
-
-    def walk(i: int) -> None:
-        if i == n:
-            out.add(tuple(acc))
-            return
-        for tid, length in starts[i]:
-            if reaches_end[i + length]:
-                acc.append(tid)
-                walk(i + length)
-                acc.pop()
-
-    walk(0)
-    return out
-
-
-def test_segmentations_examples():
-    v = Vocab.from_texts(["A", "B", "AB"])
-    by_text = {t: i for i, t in v.tokens}
-    assert segmentations("AB", v) == {
-        (by_text["A"], by_text["B"]),
-        (by_text["AB"],),
-    }
-    assert segmentations("AB", Vocab.from_texts(["A"])) == set()
-    v2 = Vocab.from_texts(["A", "AA"])
-    a, aa = 0, 1
-    assert segmentations("AAA", v2) == {(a, a, a), (a, aa), (aa, a)}
-
-
-def test_segmentations_every_sequence_concatenates():
-    v = Vocab.from_texts(["GE", "T", "GET", "_AL", "ARMS", "_ALARMS"])
-    segs = segmentations("GET_ALARMS", v)
-    assert segs
-    for seq in segs:
-        assert "".join(v.text_of(i) for i in seq) == "GET_ALARMS"
+# -- spelling names -----------------------------------------------------------
 
 
 def oracle_segmentations(name, vocab):
-    """Forward enumeration with prefix pruning; independent of the DP."""
+    """All token-id sequences whose texts concatenate exactly to ``name``.
+
+    Forward enumeration with prefix pruning, exponential in the length of
+    ``name``: the reference for the session's spellability check.
+    """
     results = set()
     spellable = [(i, t) for i, t in vocab.tokens if i != vocab.eos_id and t]
 
@@ -139,6 +83,40 @@ def oracle_segmentations(name, vocab):
     return results
 
 
+CALL_TEXTS = [" ", "(", ")"]  # what a call of a function without arguments adds to its name
+
+
+def spells(name: str, vocab: Vocab) -> bool:
+    """Whether ``new_session`` builds for the spec of the one function ``name``."""
+    try:
+        new_session(ApiSpec(frozenset({name})), vocab)
+    except UnspellableNameError:
+        return False
+    return True
+
+
+def test_segmentations_examples():
+    v = Vocab.from_texts(["A", "B", "AB", *CALL_TEXTS])
+    a, b, ab = 0, 1, 2
+    assert oracle_segmentations("AB", v) == {(a, b), (ab,)}
+    assert spells("AB", v)
+    v1 = Vocab.from_texts(["A", *CALL_TEXTS])
+    assert oracle_segmentations("AB", v1) == set()
+    assert not spells("AB", v1)
+    v2 = Vocab.from_texts(["A", "AA", *CALL_TEXTS])
+    a, aa = 0, 1
+    assert oracle_segmentations("AAA", v2) == {(a, a, a), (a, aa), (aa, a)}
+    assert spells("AAA", v2)
+
+
+def test_segmentations_every_sequence_concatenates():
+    v = Vocab.from_texts(["GE", "T", "GET", "_AL", "ARMS", "_ALARMS"])
+    segs = oracle_segmentations("GET_ALARMS", v)
+    assert segs
+    for seq in segs:
+        assert "".join(v.text_of(i) for i in seq) == "GET_ALARMS"
+
+
 @given(st.data())
 def test_segmentations_match_exhaustive_oracle(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
@@ -151,8 +129,8 @@ def test_segmentations_match_exhaustive_oracle(data):
             texts.add(genutil.random_identifier(rng, 2))
         else:
             texts.add(name[i:j])
-    vocab = Vocab.from_texts(sorted(texts))
-    assert segmentations(name, vocab) == oracle_segmentations(name, vocab)
+    vocab = Vocab.from_texts(sorted(texts) + CALL_TEXTS)
+    assert spells(name, vocab) == bool(oracle_segmentations(name, vocab))
 
 
 # -- session construction ----------------------------------------------------
@@ -183,7 +161,7 @@ def test_unspellable_names_match_segmentation_oracle(data):
         texts.add(name[i : rng.randint(i + 1, min(len(name), i + 3))])
     vocab = Vocab.from_texts(sorted(texts), eos_text=rng.choice(["", names[0][:2]]))
     spec = ApiSpec(frozenset(names[:1]), frozenset(names[1:]), {})
-    expected = [name for name in names if not segmentations(name, vocab)]
+    expected = [name for name in names if not oracle_segmentations(name, vocab)]
     if not expected:
         new_session(spec, vocab)
         return
@@ -299,9 +277,19 @@ def test_disallowed_token_raises():
     vocab = genutil.char_vocab(spec)
     by_text = dict((t, i) for i, t in vocab.tokens)
     state = new_session(spec, vocab)
-    # A token the grammar refuses, the eos too early, and ids the vocab does not hold.
-    for token_id in [by_text["("], vocab.eos_id, 99, -1, "x"]:
-        with pytest.raises(DisallowedTokenError, match=f"^token {token_id!r} |^eos "):
+    # A token the grammar refuses, the eos too early, ids the vocab does not hold,
+    # and ids that are not ints, though a float or a bool hashes as an int does.
+    for token_id, message in [
+        (by_text["("], f"token {by_text['(']} ('(') not allowed here"),
+        (vocab.eos_id, "eos before completion"),
+        (99, "token 99 not in the vocab"),
+        (-1, "token -1 not in the vocab"),
+        ("x", "token 'x' is not an int id"),
+        (1.0, "token 1.0 is not an int id"),
+        (True, "token True is not an int id"),
+        ([1], "token [1] is not an int id"),
+    ]:
+        with pytest.raises(DisallowedTokenError, match=f"^{re.escape(message)}$"):
             advance(state, token_id)
 
 
@@ -1003,6 +991,27 @@ def test_overhead_report_rejects_non_positive_steps(n_steps):
     spec = GET_ALARMS_SPEC
     with pytest.raises(ValueError, match="^n_steps must be positive$"):
         overhead_report(spec, genutil.char_vocab(spec), n_steps=n_steps)
+
+
+def test_overhead_report_holds_one_step():
+    # Each string step sorts about V allowed ids; keeping them all for a walk
+    # would grow the report's memory with the steps it takes.
+    rng = random.Random(5)
+    spec = GET_ALARMS_SPEC
+    texts = {t for _, t in genutil.char_vocab(spec).tokens if t}
+    while len(texts) < 5000:
+        texts.add("".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(2, 8))))
+    vocab = Vocab.from_texts(sorted(texts))
+    tracemalloc.start()
+    try:
+        new_session(spec, vocab)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        overhead_report(spec, vocab, n_steps=400)
+        report_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report_peak - build_peak < 4 * sys.getsizeof(list(range(5000))), report_peak - build_peak
 
 
 def test_overhead_cost_nondecreasing_with_fanout():

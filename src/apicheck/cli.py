@@ -59,7 +59,7 @@ def _cmd_check(args) -> None:
     loaded = apispec.load_spec(args.spec)
     # One prediction per "\n" line: a string value may hold "\r", "\x0c" or
     # "\u2028". Read as bytes, since a text read would turn "\r" into "\n".
-    lines = Path(args.predictions).read_bytes().decode("utf-8").split("\n")
+    lines = Path(args.predictions).read_bytes().decode("utf-8-sig").split("\n")
     reports = [constraints.check(line, loaded) for line in lines if line.strip()]
     if not reports:
         raise ValueError(f"{args.predictions}: no predictions")
@@ -133,7 +133,7 @@ def _cmd_prompt(args) -> None:
     index = _build_index(args)
     description = DEFAULT_DESCRIPTION
     if args.desc_file:
-        description = Path(args.desc_file).read_text(encoding="utf-8").rstrip("\n")
+        description = Path(args.desc_file).read_text(encoding="utf-8-sig").rstrip("\n")
     demos = retrieval.retrieve(index, args.query, args.k)
     query_text = args.query_text if args.query_text is not None else args.query
     print(retrieval.build_prompt(description, demos, query_text))

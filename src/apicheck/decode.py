@@ -171,7 +171,7 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 def load_vocab(path: str | Path) -> Vocab:
     # At "\n" only: str.splitlines also splits at "\x0c", "\u2028" and the like.
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     if not lines or not lines[0].startswith("eos_id\t"):
         raise VocabFormatError(f"{path}: first line must be 'eos_id<TAB>N'")
     # An id is read only in the form save_vocab writes, str(int(s)) == s: int()

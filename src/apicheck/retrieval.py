@@ -114,6 +114,8 @@ class PrecomputedEmbedder:
         for key, v in self.vectors.items():
             if v.ndim != 1:
                 raise ValueError(f"vector {key!r} must be 1-D, got shape {v.shape}")
+            if not np.isfinite(v).all():
+                raise ValueError(f"vector {key!r} has a non-finite component")
         dims = {len(v) for v in self.vectors.values()}
         if len(dims) != 1:
             raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
@@ -151,7 +153,7 @@ class PrecomputedEmbedder:
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """Read ``id<TAB>v1,v2,...,vD`` line records, one per id, all of the first one's length."""
     out: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

@@ -89,7 +89,7 @@ def save_spec(spec: ApiSpec, path: str | Path) -> None:
 
 def load_spec(path: str | Path) -> ApiSpec:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as e:
         raise SpecFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict):

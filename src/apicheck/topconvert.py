@@ -148,7 +148,7 @@ def spis_sample(examples: list[Example], n: int, seed: int) -> list[Example]:
 
 def iter_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(lineno, record)`` for each non-blank line of a JSON-object-per-line file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -1,18 +1,58 @@
-"""Seeded random generators for calls, specs, and vocabularies used in tests."""
+"""Seeded random generators for calls, specs, and vocabularies used in tests,
+and the small reference helpers that more than one test module uses."""
 
 from __future__ import annotations
 
+import math
 import random
 import string
 
 from apicheck.constraints import parse_and_check
 from apicheck.decode import Vocab
-from apicheck.expr import ApiCall, parse
+from apicheck.expr import ApiCall, calls_in, parse
 from apicheck.spec import ApiSpec, derive_from_corpus
+from apicheck.topconvert import Example
 
 NAME_ALPHABET = string.ascii_uppercase + "_" + string.digits
 STRING_ALPHABET = "abcdefgh "
 STRUCTURAL_CHARS = ' (),="'
+
+GET_ALARMS_SPEC = ApiSpec(
+    frozenset({"GET_ALARMS"}),
+    frozenset({"DATE_TIME"}),
+    {"GET_ALARMS": frozenset({"DATE_TIME"})},
+)
+
+
+def f1(tp: int, fp: int, fn: int) -> float:
+    """F1 from counts; precision and recall are 1.0 when there is nothing to
+    predict and nothing was predicted, and 0.0 when only one side is empty."""
+    if tp + fp == 0:
+        p = 1.0 if tp + fn == 0 else 0.0
+    else:
+        p = tp / (tp + fp)
+    if tp + fn == 0:
+        r = 1.0 if tp + fp == 0 else 0.0
+    else:
+        r = tp / (tp + fn)
+    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+
+
+def cosine(a, b) -> float:
+    """Pairwise-summed cosine of two vectors; 0.0 if either is all zeros."""
+    dot = sum(float(x) * float(y) for x, y in zip(a, b))
+    na = math.sqrt(sum(float(x) ** 2 for x in a))
+    nb = math.sqrt(sum(float(y) ** 2 for y in b))
+    return 0.0 if na == 0 or nb == 0 else dot / (na * nb)
+
+
+def spis_labels(example: Example) -> set[str]:
+    """Every function and argument name in an example's call: the labels SPIS covers."""
+    labels = set()
+    for c in calls_in(parse(example.api_call)):
+        labels.add(c.function)
+        labels.update(name for name, _ in c.args)
+    return labels
 
 
 def random_identifier(rng: random.Random, max_len: int = 8) -> str:

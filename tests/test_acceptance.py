@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 """
 
 import itertools
-import math
 import random
 import re
 import time
@@ -22,7 +21,7 @@ from apicheck.decode import (
     overhead_report,
     Vocab,
 )
-from apicheck.expr import ApiCall, calls_in, parse, serialize
+from apicheck.expr import ApiCall, serialize
 from apicheck.metrics import evaluate
 from apicheck.retrieval import HashedBowEmbedder, build_index, build_prompt, retrieve_scored
 from apicheck.spec import ApiSpec, derive_from_corpus
@@ -332,15 +331,8 @@ def test_srd_ranking_matches_cosine_oracle():
     query = "play some alarm music"
     got = retrieve_scored(index, query, 10)
 
-    qv = list(embedder.embed(query))
-    oracle = []
-    for ex in pool:
-        ev = list(embedder.embed(ex.utterance))
-        dot = sum(a * b for a, b in zip(qv, ev))
-        nq = math.sqrt(sum(a * a for a in qv))
-        ne = math.sqrt(sum(b * b for b in ev))
-        sim = 0.0 if nq == 0 or ne == 0 else dot / (nq * ne)
-        oracle.append((ex.id, sim))
+    qv = embedder.embed(query)
+    oracle = [(ex.id, genutil.cosine(qv, embedder.embed(ex.utterance))) for ex in pool]
     oracle.sort(key=lambda t: (-t[1], t[0]))
 
     assert [e.id for e, _s in got] == [i for i, _s in oracle[:10]]
@@ -368,14 +360,6 @@ def test_prompt_byte_exact_golden():
 # -- criterion: SPIS coverage ----------------------------------------------------
 
 
-def _labels(example):
-    labels = set()
-    for c in calls_in(parse(example.api_call)):
-        labels.add(c.function)
-        labels.update(n for n, _ in c.args)
-    return labels
-
-
 def test_spis_coverage_and_determinism():
     rng = random.Random(13)
     spec, calls = genutil.random_corpus_spec(rng, n_calls=40)
@@ -383,24 +367,18 @@ def test_spis_coverage_and_determinism():
         Example(f"e{i:02d}", "toy", f"utterance {i}", serialize(c))
         for i, c in enumerate(calls)
     ]
-    all_labels = set().union(*(_labels(e) for e in pool))
+    all_labels = set().union(*map(genutil.spis_labels, pool))
     for n in (1, 5):
         sampled = spis_sample(pool, n, seed=17)
         assert sampled == spis_sample(pool, n, seed=17)
         for label in all_labels:
-            available = sum(1 for e in pool if label in _labels(e))
-            got = sum(1 for e in sampled if label in _labels(e))
+            available = sum(1 for e in pool if label in genutil.spis_labels(e))
+            got = sum(1 for e in sampled if label in genutil.spis_labels(e))
             assert got >= min(n, available), (label, n, got, available)
     _ok("SPIS coverage for n in {1, 5}, deterministic")
 
 
 # -- criterion: metrics vs hand counts -------------------------------------------
-
-
-def _f1(tp, fp, fn):
-    p = 1.0 if tp + fp == 0 and tp + fn == 0 else (0.0 if tp + fp == 0 else tp / (tp + fp))
-    r = 1.0 if tp + fn == 0 and tp + fp == 0 else (0.0 if tp + fn == 0 else tp / (tp + fn))
-    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
 def test_metrics_match_hand_counts():
@@ -436,8 +414,8 @@ def test_metrics_match_hand_counts():
     for pairs, want_em, intents, slots in batches:
         report = evaluate(genutil.parse_pairs(pairs))
         assert abs(report.exact_match - want_em) < 1e-9
-        assert abs(report.intent_f1 - _f1(*intents)) < 1e-9
-        assert abs(report.slot_f1 - _f1(*slots)) < 1e-9
+        assert abs(report.intent_f1 - genutil.f1(*intents)) < 1e-9
+        assert abs(report.slot_f1 - genutil.f1(*slots)) < 1e-9
     perfect = evaluate(genutil.parse_pairs([('F ( A = "x" )', 'F(A="x")')]))
     assert perfect.exact_match == 1.0
     assert perfect.intent_f1 == 1.0 and perfect.slot_f1 == 1.0

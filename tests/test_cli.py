@@ -1,7 +1,7 @@
 import argparse
 import contextlib
 import gc
-import importlib
+import importlib.util
 import io
 import json
 import os
@@ -24,6 +24,8 @@ import genutil
 from conftest import api_calls
 from test_scoring_oracle import flatten as flatten_oracle
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture
 def toy_files(tmp_path):
@@ -36,28 +38,13 @@ def toy_files(tmp_path):
     save_spec(spec, spec_path)
     vocab_path = tmp_path / "vocab.tsv"
     save_vocab(genutil.char_vocab(spec), vocab_path)
-    examples_path = tmp_path / "examples.jsonl"
-    rows = [
-        {"id": "e1", "domain": "alarm", "utterance": "show my alarms",
-         "api_call": "GET_ALARMS ( )"},
-        {"id": "e2", "domain": "alarm", "utterance": "wake me at noon",
-         "api_call": 'CREATE_ALARM ( DATE_TIME = "noon" )'},
-        {"id": "e3", "domain": "alarm", "utterance": "alarms for tomorrow",
-         "api_call": 'GET_ALARMS ( DATE_TIME = "tomorrow" )'},
-    ]
-    examples_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    return spec_path, vocab_path, examples_path, tmp_path
-
-
-def test_parse_command(capsys):
-    assert main(["parse", 'F(A="x")']) == 0
-    assert capsys.readouterr().out == 'F ( A = "x" )\n'
+    return spec_path, vocab_path
 
 
 def test_console_script_entry_point(capsys):
     # The `apicheck` script that installing the package would create.
     tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["apicheck"]
     module, _, attr = target.partition(":")
     entry = getattr(importlib.import_module(module), attr)
@@ -118,21 +105,13 @@ def test_shared_parser_keeps_no_values_between_calls():
 ])
 def test_module_entry_point_exit_codes(argv, code):
     # Runs the `sys.exit(main())` path that in-process calls of main skip.
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "apicheck.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-
-
-def test_flatten_command(capsys):
-    assert main(["flatten", 'F ( A = G ( ) , B = "x" )']) == 0
-    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-    assert lines[0]["function"] == "F"
-    assert lines[0]["args"] == [{"name": "A", "child": 1}, {"name": "B", "text": "x"}]
-    assert lines[1] == {"index": 1, "function": "G", "args": []}
 
 
 def _flatten_stdout(expression: str) -> str:
@@ -232,37 +211,10 @@ def test_flatten_matches_the_flat_form_oracle(call):
     assert _flatten_stdout(serialize(call)) == _flatten_oracle_stdout(call)
 
 
-def test_derive_spec_command(toy_files, capsys):
-    _spec, _vocab, examples, _tmp = toy_files
-    assert main(["derive-spec", "--examples", str(examples)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert set(doc["functions"]) == {"GET_ALARMS", "CREATE_ALARM"}
-    assert doc["associations"]["GET_ALARMS"] == ["DATE_TIME"]
-
-
-def test_check_command(toy_files, tmp_path, capsys):
-    spec_path, _vocab, _examples, _tmp = toy_files
-    preds = tmp_path / "preds.txt"
-    preds.write_text(
-        "GET_ALARMS ( )\n"
-        'SHOW_ALARMS ( DATE_TIME = "x" )\n'
-        "broken (\n"
-        'GET_ALARMS ( DATE_TIME = "x" )\n'
-    )
-    assert main(["check", "--spec", str(spec_path), str(preds)]) == 0
-    out = capsys.readouterr().out
-    lines = out.splitlines()
-    assert lines[0] == "1 1 1 1"
-    assert lines[1].startswith("1 0 1 0")
-    assert lines[2].startswith("0 0 0 0")
-    assert "C_s violation rate: 25.00%" in out
-    assert "C_f violation rate: 50.00%" in out
-
-
 def test_check_reads_one_prediction_per_newline(toy_files, tmp_path, capsys):
     # "\u2028", "\x0c" and "\r" are line boundaries to str.splitlines, and "\r"
     # to a text-mode read, not to the file.
-    spec_path, _vocab, _examples, _tmp = toy_files
+    spec_path, _vocab = toy_files
     preds = tmp_path / "preds.txt"
     preds.write_bytes('GET_ALARMS ( DATE_TIME = "x\u2028y" )\n'
                       'GET_ALARMS ( DATE_TIME = "a\x0cb" )\n'
@@ -274,7 +226,7 @@ def test_check_reads_one_prediction_per_newline(toy_files, tmp_path, capsys):
 
 
 def test_check_reports_a_crlf_file_as_its_lf_twin(toy_files, tmp_path, capsys):
-    spec_path, _vocab, _examples, _tmp = toy_files
+    spec_path, _vocab = toy_files
     rows = ["GET_ALARMS ( )", 'SHOW_ALARMS ( DATE_TIME = "x" )', "broken (",
             'GET_ALARMS ( DATE_TIME = "x" )', ""]
     outputs = []
@@ -285,55 +237,6 @@ def test_check_reports_a_crlf_file_as_its_lf_twin(toy_files, tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("1 1 1 1\n1 0 1 0")
-
-
-def test_eval_command(toy_files, tmp_path, capsys):
-    spec_path, _vocab, _examples, _tmp = toy_files
-    pairs = tmp_path / "pairs.jsonl"
-    rows = [
-        {"gold": "GET_ALARMS ( )", "predicted": "GET_ALARMS ( )", "utterance": "u"},
-        {"gold": 'GET_ALARMS ( DATE_TIME = "x" )', "predicted": "broken (", "utterance": "u"},
-    ]
-    pairs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    assert main(["eval", "--spec", str(spec_path), "--pairs", str(pairs)]) == 0
-    out = capsys.readouterr().out
-    assert "exact match: 0.5000" in out
-    assert "intent F1:" in out and "slot F1:" in out
-    assert "C_s violation rate: 50.00%" in out
-
-
-def test_convert_top_command(tmp_path, capsys):
-    infile = tmp_path / "top.jsonl"
-    infile.write_text(
-        json.dumps(
-            {
-                "id": "t1",
-                "domain": "alarm",
-                "utterance": "show my alarms for tomorrow",
-                "top_parse": "[IN:SHOW_ALARMS show my alarms [SL:DATE_TIME for tomorrow ]]",
-            }
-        )
-        + "\n"
-    )
-    assert main(["convert-top", "--in", str(infile)]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["api_call"] == 'SHOW_ALARMS ( DATE_TIME = "for tomorrow" )'
-
-
-def test_sample_spis_command(toy_files, capsys):
-    _spec, _vocab, examples, _tmp = toy_files
-    assert main(["sample-spis", "--in", str(examples), "--n", "1", "--seed", "3"]) == 0
-    ids = [json.loads(l)["id"] for l in capsys.readouterr().out.splitlines()]
-    assert set(ids) <= {"e1", "e2", "e3"}
-    assert ids  # coverage requires at least the rare-label examples
-
-
-def test_retrieve_command(toy_files, capsys):
-    _spec, _vocab, examples, _tmp = toy_files
-    assert main(["retrieve", "--pool", str(examples), "--query", "show my alarms", "--k", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
-    assert lines[0].split("\t")[0] == "e1"
 
 
 def _dense_pool(rng):
@@ -371,29 +274,9 @@ def test_retrieve_command_on_embeddings(make_pool, query, tmp_path, capsys):
     assert lines[0] == f"{query}\t1.000000\tu"
 
 
-def test_prompt_command(toy_files, capsys):
-    _spec, _vocab, examples, _tmp = toy_files
-    assert main(["prompt", "--pool", str(examples), "--query", "show my alarms", "--k", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("#[TASK DESCRIPTION]\n")
-    assert "Example 3:\nUser: show my alarms\nAPI Call:\n" in out
-
-
-def test_decode_sim_command(toy_files, capsys):
-    spec_path, vocab_path, _examples, _tmp = toy_files
-    args = [
-        "decode-sim", "--spec", str(spec_path), "--vocab", str(vocab_path),
-        "--runs", "5", "--seed", "7", "--max-string-len", "6", "--max-depth", "2",
-    ]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "C_s violation rate: 0.00%" in out
-    assert "runs: 5 completed: 5 incomplete: 0" in out
-
-
 def test_decode_sim_exits_1_when_a_run_is_incomplete(toy_files, capsys):
     # No call of the toy spec is two tokens of a character vocab long.
-    spec_path, vocab_path, _examples, _tmp = toy_files
+    spec_path, vocab_path = toy_files
     args = [
         "decode-sim", "--spec", str(spec_path), "--vocab", str(vocab_path),
         "--runs", "3", "--max-steps", "2",
@@ -404,34 +287,6 @@ def test_decode_sim_exits_1_when_a_run_is_incomplete(toy_files, capsys):
     lines = err.splitlines()
     assert len(lines) == 3 and all(": INCOMPLETE " in line for line in lines)
     assert [line.split(":")[0] for line in lines] == ["run 0", "run 1", "run 2"]
-
-
-def test_decode_sim_deterministic_stdout(toy_files, capsys):
-    spec_path, vocab_path, _examples, _tmp = toy_files
-    args = [
-        "decode-sim", "--spec", str(spec_path), "--vocab", str(vocab_path),
-        "--runs", "3", "--seed", "11", "--max-string-len", "6", "--max-depth", "2",
-    ]
-    assert main(args) == 0
-    first = capsys.readouterr().out
-    assert main(args) == 0
-    assert capsys.readouterr().out == first
-
-
-def test_mask_command_trace(toy_files, capsys):
-    spec_path, vocab_path, _examples, _tmp = toy_files
-    args = [
-        "mask", "--spec", str(spec_path), "--vocab", str(vocab_path),
-        "--state-trace", "--seed", "5", "--max-string-len", "6", "--max-depth", "2",
-    ]
-    assert main(args) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split("\t")[0] == "0"
-    for i, line in enumerate(lines):
-        step, _, ids = line.partition("\t")
-        assert int(step) == i
-        values = [int(x) for x in ids.split(",") if x]
-        assert values == sorted(values)
 
 
 @pytest.mark.parametrize("suffixes", [[""], ["", "x"]])
@@ -471,13 +326,27 @@ def test_mask_command_long_string_token(seed, tmp_path, capsys):
 
 
 def test_overhead_command(toy_files, capsys):
-    spec_path, vocab_path, _examples, _tmp = toy_files
+    spec_path, vocab_path = toy_files
     assert main(["overhead", "--spec", str(spec_path), "--vocab", str(vocab_path),
                  "--steps", "200"]) == 0
     out = capsys.readouterr().out
     assert "ratio:" in out
     ratio = float(out.rsplit("ratio:", 1)[1])
     assert ratio >= 1.0
+
+
+def test_decode_commands_at_v32k(tmp_path, capsys):
+    # perfbench's seed-1 decode-32k spec and 32,000-token vocab, the size of a
+    # real LLM vocabulary: decode-sim and mask load it and build their sessions.
+    loader = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(gen)
+    spec = gen.topv2_spec(1)
+    gen.write_spec(tmp_path / "spec.json", spec)
+    gen.write_vocab(tmp_path / "vocab.tsv", gen.large_vocab(1, spec))
+    decode_argv = ["--spec", str(tmp_path / "spec.json"), "--vocab", str(tmp_path / "vocab.tsv")]
+    assert main(["decode-sim", *decode_argv, "--runs", "3"]) == 0
+    assert main(["mask", *decode_argv]) == 0
 
 
 def test_missing_file_is_domain_error(tmp_path, capsys):

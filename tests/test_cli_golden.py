@@ -5,6 +5,7 @@ below (``.out``) and, for the commands that take ``--out``, the file it writes
 (``.file``); any change to them is a change to the CLI's output format.
 """
 
+import codecs
 import gc
 import json
 from pathlib import Path
@@ -159,6 +160,25 @@ def test_out_file_matches_golden(command, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     expected = (GOLDEN / f"{command}.file").read_text(encoding="utf-8")
     assert out.read_text(encoding="utf-8") == expected
+
+
+# Each kind of input file, read by one command whose stdout shows its content.
+@pytest.mark.parametrize("command, name", [
+    ("check", "preds.txt"), ("eval", "pairs.jsonl"), ("derive-spec", "ex.jsonl"),
+    ("check", "spec.json"), ("mask", "vocab.tsv"), ("retrieve-embeddings", "emb.tsv"),
+    ("prompt", "desc.txt"),
+])
+def test_a_utf8_bom_is_not_read_as_text(command, name, tmp_path, capsys):
+    argv = _argv(command, tmp_path)
+    if name == "desc.txt":
+        (tmp_path / name).write_text("Write one API call\n", encoding="utf-8")
+        argv += ["--desc-file", str(tmp_path / name)]
+    assert main(argv) == 0
+    without_bom = capsys.readouterr().out
+    path = tmp_path / name
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert main(argv) == 0
+    assert capsys.readouterr().out == without_bom
 
 
 def _nested(depth):

@@ -15,12 +15,7 @@ from apicheck.constraints import (
 from apicheck.expr import parse, serialize
 from apicheck.spec import ApiSpec, derive_from_corpus
 from conftest import api_calls
-
-GET_ALARMS_SPEC = ApiSpec(
-    frozenset({"GET_ALARMS"}),
-    frozenset({"DATE_TIME"}),
-    {"GET_ALARMS": frozenset({"DATE_TIME"})},
-)
+from genutil import GET_ALARMS_SPEC
 
 
 def test_worked_example_signature():

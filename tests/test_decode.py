@@ -42,12 +42,7 @@ from apicheck.expr import _RUN, ApiCall, escape_string, parse, serialize
 from apicheck.spec import ApiSpec, SpecFormatError, derive_from_corpus
 
 import genutil
-
-GET_ALARMS_SPEC = ApiSpec(
-    frozenset({"GET_ALARMS"}),
-    frozenset({"DATE_TIME"}),
-    {"GET_ALARMS": frozenset({"DATE_TIME"})},
-)
+from genutil import GET_ALARMS_SPEC
 
 FN_ONLY_SPEC = ApiSpec(frozenset({"GET_ALARMS"}), frozenset(), {})
 

@@ -7,19 +7,7 @@ import hypothesis.strategies as st
 from apicheck.metrics import evaluate, intents_and_slots
 from apicheck.expr import parse, serialize
 from conftest import api_calls
-from genutil import parse_pairs
-
-
-def f1(tp, fp, fn):
-    if tp + fp == 0:
-        p = 1.0 if tp + fn == 0 else 0.0
-    else:
-        p = tp / (tp + fp)
-    if tp + fn == 0:
-        r = 1.0 if tp + fp == 0 else 0.0
-    else:
-        r = tp / (tp + fn)
-    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+from genutil import f1, parse_pairs
 
 
 def score(pairs):

@@ -3,7 +3,6 @@ import math
 import re
 import tracemalloc
 from dataclasses import dataclass
-from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -25,7 +24,7 @@ from apicheck.retrieval import (
 )
 from apicheck.topconvert import Example
 
-DATA = Path(__file__).parent / "data"
+import genutil
 
 GOLDEN_DEMOS = [
     ("d01", "show my alarms for tomorrow", 'SHOW_ALARMS ( DATE_TIME = "tomorrow" )'),
@@ -170,13 +169,7 @@ def test_ranking_matches_pairwise_cosine_oracle():
     index = build_index(pool, emb)
     query = "play music"
     qv = emb.embed(query)
-    oracle = []
-    for ex in pool:
-        ev = emb.embed(ex.utterance)
-        num = sum(float(x) * float(y) for x, y in zip(qv, ev))
-        na = math.sqrt(sum(float(x) ** 2 for x in qv))
-        nb = math.sqrt(sum(float(y) ** 2 for y in ev))
-        oracle.append((ex.id, 0.0 if na == 0 or nb == 0 else num / (na * nb)))
+    oracle = [(ex.id, genutil.cosine(qv, emb.embed(ex.utterance))) for ex in pool]
     oracle.sort(key=lambda t: (-t[1], t[0]))
     got = [(e.id, s) for e, s in retrieve_scored(index, query, 2)]
     for (gid, gsim), (oid, osim) in zip(got, oracle[:2]):
@@ -210,16 +203,9 @@ def test_ties_are_equal_to_12_decimals():
     assert [e.id for e in retrieve(index, query, 1)] == ["a"]
 
 
-def _cosine(a, b):
-    dot = sum(float(x) * float(y) for x, y in zip(a, b))
-    na = math.sqrt(sum(float(x) ** 2 for x in a))
-    nb = math.sqrt(sum(float(y) ** 2 for y in b))
-    return 0.0 if na == 0 or nb == 0 else dot / (na * nb)
-
-
 def _assert_matches_oracle(index, query, query_vec, ids, pool_vecs, k):
     """retrieve_scored against pairwise cosines ordered by (-round(sim, 12), id)."""
-    sims = [_cosine(query_vec, v) for v in pool_vecs]
+    sims = [genutil.cosine(query_vec, v) for v in pool_vecs]
     # Next to a rounding boundary, two computations of one cosine that differ
     # in the last bit may round apart; the rule itself is only defined away from it.
     assume(all(abs(abs(s) * 1e12 % 1 - 0.5) > 1e-3 for s in sims))
@@ -619,6 +605,11 @@ def test_precomputed_embedder_rejects_vectors_of_length_zero():
     # with an IndexError.
     ({"a": np.ones((2, 3)), "b": np.ones((2, 3))}, "vector 'a' must be 1-D, got shape (2, 3)"),
     ({"a": np.ones(3), "b": np.float64(1.0)}, "vector 'b' must be 1-D, got shape ()"),
+    # A NaN component dropped its demo from a ranking or ranked it above a
+    # finite one, and an infinite query vector ranked no demo at all.
+    ({"a": np.ones(3), "b": np.array([1.0, np.nan, 0.0])}, "vector 'b' has a non-finite component"),
+    ({"a": np.array([np.inf, 0.0]), "b": np.ones(2)}, "vector 'a' has a non-finite component"),
+    ({"a": np.ones(2), "b": np.array([-np.inf, 1.0])}, "vector 'b' has a non-finite component"),
 ])
 def test_precomputed_embedder_rejects_a_vector_that_is_not_1d(vectors, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -699,13 +690,6 @@ def test_embeddings_file_round_trip(tmp_path):
     assert set(loaded) == {"a", "b"}
     for key in vectors:
         assert np.array_equal(loaded[key], vectors[key])
-
-
-def test_prompt_matches_golden_file():
-    demos = _examples(GOLDEN_DEMOS)
-    prompt = build_prompt(DESCRIPTION, demos, "driving directions to the stadium")
-    golden = (DATA / "golden_prompt.txt").read_text(encoding="utf-8")
-    assert prompt == golden
 
 
 def test_prompt_zero_demos():

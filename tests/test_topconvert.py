@@ -23,6 +23,8 @@ from apicheck.topconvert import (
     write_examples,
 )
 
+import genutil
+
 SHOW_ALARMS_TOP = "[IN:SHOW_ALARMS show my alarms [SL:DATE_TIME for tomorrow ]]"
 FIG1_TOP = (
     "[IN:GET_DIRECTIONS Show me one way options to "
@@ -319,14 +321,6 @@ def _pool():
     return [Example(i, "toy", f"utt {i}", call) for i, call in rows]
 
 
-def _labels(example):
-    labels = set()
-    for c in calls_in(parse(example.api_call)):
-        labels.add(c.function)
-        labels.update(name for name, _ in c.args)
-    return labels
-
-
 def test_spis_each_label_once_selects_everything():
     pool = [
         Example("e1", "toy", "u1", 'A ( X = "1" )'),
@@ -339,10 +333,10 @@ def test_spis_coverage():
     pool = _pool()
     for n in (1, 2, 5):
         sampled = spis_sample(pool, n, seed=17)
-        all_labels = set().union(*(_labels(e) for e in pool))
+        all_labels = set().union(*map(genutil.spis_labels, pool))
         for label in all_labels:
-            available = sum(1 for e in pool if label in _labels(e))
-            got = sum(1 for e in sampled if label in _labels(e))
+            available = sum(1 for e in pool if label in genutil.spis_labels(e))
+            got = sum(1 for e in sampled if label in genutil.spis_labels(e))
             assert got >= min(n, available)
 
 

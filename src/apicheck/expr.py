@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Collection
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # The one IDENT rule: the parser, is_identifier and non_identifiers use it.
 _IDENT = re.compile(r"[A-Z_][A-Z0-9_]*")
@@ -69,8 +69,7 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True)
-class ApiCall:
+class ApiCall(NamedTuple):
     function: str
     args: tuple[tuple[str, str | ApiCall], ...] = ()
 

@@ -8,7 +8,11 @@ from apicheck.expr import ApiCall
 settings.register_profile("default", max_examples=50, deadline=None)
 settings.load_profile("default")
 
-identifiers = st.from_regex(r"[A-Z_][A-Z0-9_]{0,7}", fullmatch=True)
+# The language of r"[A-Z_][A-Z0-9_]{0,7}"; st.from_regex drew it about 6x slower.
+FIRST = "ABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+identifiers = st.builds(
+    str.__add__, st.sampled_from(FIRST), st.text(FIRST + "0123456789", max_size=7)
+)
 
 string_texts = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8

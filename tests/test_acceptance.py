@@ -9,9 +9,7 @@ import re
 import time
 from pathlib import Path
 
-import pytest
-
-from apicheck.constraints import check, violation_rates
+from apicheck.constraints import check
 from apicheck.decode import (
     Mode,
     advance,
@@ -24,7 +22,7 @@ from apicheck.decode import (
 from apicheck.expr import ApiCall, serialize
 from apicheck.metrics import evaluate
 from apicheck.retrieval import HashedBowEmbedder, build_index, build_prompt, retrieve_scored
-from apicheck.spec import ApiSpec, derive_from_corpus
+from apicheck.spec import ApiSpec
 from apicheck.topconvert import Example, spis_sample
 
 import genutil

@@ -239,6 +239,16 @@ def test_check_reports_a_crlf_file_as_its_lf_twin(toy_files, tmp_path, capsys):
     assert outputs[0].startswith("1 1 1 1\n1 0 1 0")
 
 
+def test_eval_scores_an_equal_pair_nested_250_deep(toy_files, tmp_path, capsys):
+    # Comparing the two calls recurses once per level, as parsing them does.
+    spec_path, _vocab = toy_files
+    nested = "F ( A = " * 250 + "F ( )" + " )" * 250
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"gold": nested, "predicted": nested}) + "\n", encoding="utf-8")
+    assert main(["eval", "--spec", str(spec_path), "--pairs", str(pairs)]) == 0
+    assert "exact match: 1.0000\n" in capsys.readouterr().out
+
+
 def _dense_pool(rng):
     return rng.standard_normal((2000, 256))
 

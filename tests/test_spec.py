@@ -1,5 +1,4 @@
 import copy
-import json
 import pickle
 
 import pytest

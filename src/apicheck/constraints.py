@@ -7,25 +7,23 @@ satisfy API constraints. Rates are sensitive to this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .expr import ApiCall, ParseError, calls_in, parse
 from .spec import ApiSpec
 
 
-@dataclass(frozen=True)
-class ConstraintSignature:
+class ConstraintSignature(NamedTuple):
     c_s: int
     c_f: int
     c_a: int
     c_fa: int
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.c_s, self.c_f, self.c_a, self.c_fa)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     signature: ConstraintSignature
     offending_functions: tuple[str, ...] = ()
     offending_arguments: tuple[str, ...] = ()
@@ -37,15 +35,11 @@ class ViolationReport:
 _CLEAN = ViolationReport(ConstraintSignature(1, 1, 1, 1))
 
 
-@dataclass(frozen=True)
-class ViolationRates:
+class ViolationRates(NamedTuple):
     structural: float
     function: float
     argument: float
     association: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.structural, self.function, self.argument, self.association)
 
 
 def check_call(call: ApiCall, spec: ApiSpec) -> ViolationReport:
@@ -92,19 +86,12 @@ def violation_rates(reports: list[ViolationReport]) -> ViolationRates:
     if not reports:
         raise ValueError("violation_rates requires a non-empty report list")
     n = len(reports)
-    sigs = [r.signature for r in reports]
-    return ViolationRates(
-        sum(1 for s in sigs if s.c_s == 0) / n,
-        sum(1 for s in sigs if s.c_f == 0) / n,
-        sum(1 for s in sigs if s.c_a == 0) / n,
-        sum(1 for s in sigs if s.c_fa == 0) / n,
-    )
+    return ViolationRates(*(bits.count(0) / n for bits in zip(*(r.signature for r in reports))))
 
 
 def format_report_line(report: ViolationReport) -> str:
     """One line per example: the four bits plus offender lists."""
-    sig = report.signature
-    parts = [f"{sig.c_s} {sig.c_f} {sig.c_a} {sig.c_fa}"]
+    parts = [" ".join(map(str, report.signature))]
     offenders = []
     if report.parse_error is not None:
         offenders.append(f"parse:{report.parse_error.kind.value}@{report.parse_error.offset}")
@@ -120,9 +107,7 @@ def format_report_line(report: ViolationReport) -> str:
 
 
 def format_summary(rates: ViolationRates) -> str:
-    return (
-        f"C_s violation rate: {rates.structural * 100:.2f}%\n"
-        f"C_f violation rate: {rates.function * 100:.2f}%\n"
-        f"C_a violation rate: {rates.argument * 100:.2f}%\n"
-        f"C_fa violation rate: {rates.association * 100:.2f}%"
+    return "\n".join(
+        f"{bit} violation rate: {rate * 100:.2f}%"
+        for bit, rate in zip(("C_s", "C_f", "C_a", "C_fa"), rates)
     )

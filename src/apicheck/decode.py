@@ -44,12 +44,13 @@ import re
 import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
-from .expr import _RUN  # a plain run of string content: no quote, no backslash
+from .expr import _RUN, reading  # _RUN: a plain run of string content, no quote or backslash
 from .spec import ApiSpec
 
 _QUOTE = '"'
@@ -129,11 +130,8 @@ class Vocab:
         object.__setattr__(self, "_text_by_id", text_by_id)
 
     @classmethod
-    def from_texts(cls, texts: list[str], eos_text: str = "") -> "Vocab":
-        tokens = [(i, t) for i, t in enumerate(texts)]
-        eos_id = len(texts)
-        tokens.append((eos_id, eos_text))
-        return cls(tuple(tokens), eos_id)
+    def from_texts(cls, texts: list[str]) -> "Vocab":
+        return cls((*enumerate(texts), (len(texts), "")), len(texts))
 
     def text_of(self, token_id: int) -> str:
         return self._text_by_id[token_id]
@@ -171,7 +169,8 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 def load_vocab(path: str | Path) -> Vocab:
     # At "\n" only: str.splitlines also splits at "\x0c", "\u2028" and the like.
-    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    with reading(path):
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     if not lines or not lines[0].startswith("eos_id\t"):
         raise VocabFormatError(f"{path}: first line must be 'eos_id<TAB>N'")
     # An id is read only in the form save_vocab writes, str(int(s)) == s: int()
@@ -460,9 +459,8 @@ class DecodeSession:
         return frozenset(survivors).union(*self._plain_by_len[1 : room + 1])
 
 
-@dataclass(frozen=True)
-class DecodeState:
-    session: DecodeSession = field(compare=False, repr=False)
+class DecodeState(NamedTuple):
+    session: DecodeSession
     config: tuple = (_M_FUNC, (), "", "", False, 0, False)
     emitted: str = ""
 
@@ -552,8 +550,7 @@ def mock_decode(state: DecodeState, seed: int, max_steps: int = DEFAULT_MAX_STEP
     raise IncompleteDecodeError(state.emitted, step)
 
 
-@dataclass(frozen=True)
-class OverheadReport:
+class OverheadReport(NamedTuple):
     n_steps: int
     build_time_s: float
     constrained_per_step_s: float

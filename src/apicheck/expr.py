@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Collection
+from contextlib import contextmanager
 from typing import NamedTuple
 
 # The one IDENT rule: the parser, is_identifier and non_identifiers use it.
@@ -200,3 +201,12 @@ def calls_in(call: ApiCall) -> list[ApiCall]:
             if not isinstance(value, str):
                 out.append(value)
     return out
+
+
+@contextmanager
+def reading(path):
+    """Re-raise a UnicodeDecodeError of the block as a ValueError that starts with ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 ({e.reason})") from None

@@ -10,13 +10,12 @@ positives and |gold| false negatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .expr import ApiCall, calls_in
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     exact_match: float
     intent_f1: float
     slot_f1: float

@@ -13,12 +13,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Mapping, NamedTuple, Protocol
 
 import numpy as np
 
+from .expr import reading
 from .topconvert import Example
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -153,7 +153,7 @@ class PrecomputedEmbedder:
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """Read ``id<TAB>v1,v2,...,vD`` line records, one per id, all of the first one's length."""
     out: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with reading(path), open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -180,13 +180,18 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def save_embeddings(vectors: Mapping[str, np.ndarray], path: str | Path) -> None:
+    """Write ``vectors`` as ``load_embeddings`` reads them back; before opening the file,
+    check them as ``PrecomputedEmbedder`` does, and refuse an id it would not read back."""
+    vectors = PrecomputedEmbedder(vectors).vectors
+    for key in vectors:
+        if key[:1] == "\ufeff" or not {"\t", "\n", "\r"}.isdisjoint(key):
+            raise ValueError(f"id {key!r} holds a tab or line break, or starts with U+FEFF")
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(vectors):
-            fh.write(key + "\t" + ",".join(repr(float(x)) for x in vectors[key]) + "\n")
+            fh.write(key + "\t" + ",".join(map(repr, vectors[key].tolist())) + "\n")
 
 
-@dataclass(frozen=True)
-class DemoIndex:
+class DemoIndex(NamedTuple):
     """The pool's unit rows, in the order of ``examples``, in the layout
     ``embed_pool`` gave: the column-major (P, D) ``matrix``, or one posting
     list per dimension, ``rows[d]`` the ascending numbers of the rows nonzero

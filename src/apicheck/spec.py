@@ -8,7 +8,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .expr import ApiCall, calls_in, non_identifiers
+from .expr import ApiCall, calls_in, non_identifiers, reading
 
 
 class SpecFormatError(ValueError):
@@ -89,7 +89,8 @@ def save_spec(spec: ApiSpec, path: str | Path) -> None:
 
 def load_spec(path: str | Path) -> ApiSpec:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        with reading(path):
+            doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as e:
         raise SpecFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict):

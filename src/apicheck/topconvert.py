@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .expr import ApiCall, ParseError, calls_in, is_identifier, parse, serialize
+from .expr import ApiCall, ParseError, calls_in, is_identifier, parse, reading, serialize
 
 
 class TopFormatError(ValueError):
@@ -148,7 +148,7 @@ def spis_sample(examples: list[Example], n: int, seed: int) -> list[Example]:
 
 def iter_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(lineno, record)`` for each non-blank line of a JSON-object-per-line file."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with reading(path), open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -202,6 +202,7 @@ def _write_error_inputs(tmp):
     (tmp / "deep_preds.txt").write_text(_nested(2000) + "\n", encoding="utf-8")
     _jsonl(tmp / "deep_pairs.jsonl", [{"gold": _nested(400), "predicted": _nested(400)}])
     (tmp / "blank.txt").write_text("\n \n", encoding="utf-8")
+    (tmp / "not_utf8.txt").write_bytes(b"\xff\n")
     for name, lines in {
         "invalid_json": ['{"gold": "F ( )"'],
         "missing_field": ['{"gold": "F ( )"}'],
@@ -234,6 +235,7 @@ _POOL = ["--pool", "{tmp}/ex.jsonl"]
 # tmp directory. Any change to a line is a change to the CLI's error text.
 _NO_FILE = "[Errno 2] No such file or directory: "
 _NOT_IDENT = "{tmp}/lowercase_spec.json: names are not identifiers: get"
+_NOT_UTF8 = "{tmp}/not_utf8.txt: not UTF-8 (invalid start byte)"
 ERROR_ROWS = [
     ("parse-bad-expression", ["parse", "F ("],
      "UnbalancedParen at offset 3: unclosed call"),
@@ -321,6 +323,18 @@ ERROR_ROWS = [
     ("missing-desc-file",
      ["prompt", *_POOL, "--query", "alarms", "--k", "1", "--desc-file", "{tmp}/nope.txt"],
      _NO_FILE + "'{tmp}/nope.txt'"),
+    # One row per kind of input file: one that is not UTF-8 is named in the error.
+    ("predictions-not-utf8", ["check", *_SPEC, "{tmp}/not_utf8.txt"], _NOT_UTF8),
+    ("pairs-not-utf8", ["eval", *_SPEC, "--pairs", "{tmp}/not_utf8.txt"], _NOT_UTF8),
+    ("examples-not-utf8", ["derive-spec", "--examples", "{tmp}/not_utf8.txt"], _NOT_UTF8),
+    ("spec-not-utf8", ["check", "--spec", "{tmp}/not_utf8.txt", "{tmp}/preds.txt"], _NOT_UTF8),
+    ("vocab-not-utf8", ["mask", *_SPEC, "--vocab", "{tmp}/not_utf8.txt"], _NOT_UTF8),
+    ("embeddings-not-utf8",
+     ["retrieve", *_POOL, "--query", "e1", "--k", "1", "--embeddings", "{tmp}/not_utf8.txt"],
+     _NOT_UTF8),
+    ("desc-file-not-utf8",
+     ["prompt", *_POOL, "--query", "alarms", "--k", "1", "--desc-file", "{tmp}/not_utf8.txt"],
+     _NOT_UTF8),
     ("decode-sim-max-depth-0", ["decode-sim", *_DECODE, "--max-depth", "0"],
      "max_depth must be >= 1"),
     ("mask-max-depth-0", ["mask", *_DECODE, "--max-depth", "0"],

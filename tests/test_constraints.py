@@ -10,7 +10,9 @@ from apicheck.constraints import (
     format_summary,
     violation_rates,
 )
+from apicheck.decode import Vocab, new_session
 from apicheck.expr import parse, serialize
+from apicheck.metrics import evaluate
 from apicheck.spec import ApiSpec, derive_from_corpus
 from conftest import api_calls
 from genutil import GET_ALARMS_SPEC
@@ -60,14 +62,25 @@ def test_bad_association_only():
 
 def test_violation_rates_all_clean():
     reports = [check("GET_ALARMS ( )", GET_ALARMS_SPEC)] * 4
-    assert violation_rates(reports).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+    assert tuple(violation_rates(reports)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_violation_rates_counting():
     reports = [check("GET_ALARMS ( )", GET_ALARMS_SPEC)] * 3
     reports.append(check('SHOW_ALARMS ( DATE_TIME = "x" )', GET_ALARMS_SPEC))
     rates = violation_rates(reports)
-    assert rates.as_tuple() == (0.0, 0.25, 0.0, 0.25)
+    assert tuple(rates) == (0.0, 0.25, 0.0, 0.25)
+
+
+def test_records_are_tuples_and_a_state_belongs_to_its_session():
+    spec = ApiSpec(frozenset({"F"}))
+    report = check("G ( )", spec)
+    assert report.signature == (1, 0, 1, 1)
+    assert violation_rates([report]) == (0.0, 1.0, 0.0, 0.0)
+    exact_match, intent_f1, slot_f1, n = evaluate([(parse("F ( )"), parse("F ( )"))])
+    assert (exact_match, intent_f1, slot_f1, n) == (1.0, 1.0, 1.0, 1)
+    vocab = Vocab.from_texts(["F", " ", "(", ")"])
+    assert new_session(spec, vocab) != new_session(spec, vocab)
 
 
 def test_violation_rates_empty_errors():
@@ -86,7 +99,7 @@ def test_rates_equal_one_minus_mean_bit():
     reports = [check(t, GET_ALARMS_SPEC) for t in texts]
     rates = violation_rates(reports)
     for rate, bit in zip(
-        rates.as_tuple(),
+        tuple(rates),
         zip(*(r.signature.as_tuple() for r in reports)),
     ):
         assert rate == pytest.approx(1 - sum(bit) / len(bit))

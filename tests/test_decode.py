@@ -154,7 +154,8 @@ def test_unspellable_names_match_segmentation_oracle(data):
         name = rng.choice(names)
         i = rng.randrange(len(name))
         texts.add(name[i : rng.randint(i + 1, min(len(name), i + 3))])
-    vocab = Vocab.from_texts(sorted(texts), eos_text=rng.choice(["", names[0][:2]]))
+    eos = (len(texts), rng.choice(["", names[0][:2]]))
+    vocab = Vocab((*enumerate(sorted(texts)), eos), len(texts))
     spec = ApiSpec(frozenset(names[:1]), frozenset(names[1:]), {})
     expected = [name for name in names if not oracle_segmentations(name, vocab)]
     if not expected:

@@ -692,6 +692,28 @@ def test_embeddings_file_round_trip(tmp_path):
         assert np.array_equal(loaded[key], vectors[key])
 
 
+@pytest.mark.parametrize("vectors", [
+    {"a\tb": [1.0]}, {"a\nb": [1.0]}, {"a\rb": [1.0]}, {"\ufeffa": [1.0]},
+    {"a": [float("nan")]}, {"a": []}, {"a": [1.0], "b": [1.0, 2.0]}, {"a": [[1.0]]}, {},
+], ids=["tab", "newline", "return", "bom", "nan", "empty-vector", "two-lengths", "2d", "no-ids"])
+def test_save_embeddings_refuses_what_load_embeddings_would(vectors, tmp_path):
+    path = tmp_path / "vectors.tsv"
+    with pytest.raises(ValueError):
+        save_embeddings(vectors, path)
+    assert not path.exists()
+
+
+def test_save_embeddings_round_trips_odd_ids_and_values(tmp_path):
+    path = tmp_path / "vectors.tsv"
+    vectors = {"": [-0.0, 5e-324], "a b": [1e308, -1.0], "a\ufeff\x0c\u2028": [0.1, 1 / 3]}
+    save_embeddings(vectors, path)
+    loaded = load_embeddings(path)
+    assert list(loaded) == sorted(vectors)
+    for key, vec in vectors.items():
+        assert loaded[key].tolist() == vec
+        assert np.signbit(loaded[key]).tolist() == np.signbit(vec).tolist()
+
+
 def test_prompt_zero_demos():
     prompt = build_prompt("desc", [], "hello")
     assert prompt == "#[TASK DESCRIPTION]\ndesc\n\n#[TEST QUERY]\nExample 1:\nUser: hello\nAPI Call:"

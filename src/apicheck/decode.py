@@ -168,9 +168,11 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> Vocab:
-    # At "\n" only: str.splitlines also splits at "\x0c", "\u2028" and the like.
-    with reading(path):
-        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    # At "\n" only: str.splitlines and universal newlines also split at "\x0c",
+    # "\u2028", a lone "\r" and the like. An LF file pays one scan for a "\r".
+    with reading(path), open(path, encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
+    lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
     if not lines or not lines[0].startswith("eos_id\t"):
         raise VocabFormatError(f"{path}: first line must be 'eos_id<TAB>N'")
     # An id is read only in the form save_vocab writes, str(int(s)) == s: int()

@@ -70,6 +70,7 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+# _call and top_to_call build it with tuple.__new__: NamedTuple's own __new__ runs in Python.
 class ApiCall(NamedTuple):
     function: str
     args: tuple[tuple[str, str | ApiCall], ...] = ()
@@ -97,7 +98,7 @@ def _call(text: str, pos: int) -> tuple[ApiCall, int]:
         raise ParseError(ParseErrorKind.UNEXPECTED_TOKEN, pos, "expected '('")
     pos = _WS.match(text, pos + 1).end()
     if text.startswith(")", pos):
-        return ApiCall(m.group(1), ()), _WS.match(text, pos + 1).end()
+        return tuple.__new__(ApiCall, (m.group(1), ())), _WS.match(text, pos + 1).end()
     args: list[tuple[str, str | ApiCall]] = []
     while True:
         a = _ARG.match(text, pos)
@@ -127,7 +128,7 @@ def _call(text: str, pos: int) -> tuple[ApiCall, int]:
             pos = _WS.match(text, pos + 1).end()
         args.append((name, value))
         if close == ")":
-            return ApiCall(m.group(1), tuple(args)), pos
+            return tuple.__new__(ApiCall, (m.group(1), tuple(args))), pos
 
 
 def _string(text: str, pos: int) -> tuple[str, int]:

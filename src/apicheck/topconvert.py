@@ -1,14 +1,14 @@
 """TOP bracketed-parse handling: convert to API calls, SPIS sampling, IO.
 
 TOP format: ``[IN:LABEL ... ]`` / ``[SL:LABEL ... ]`` spans over whitespace
-separated utterance tokens. ``top_to_call`` lexes a TOP string with one
-``findall`` and converts it to an API call in one pass, with no intermediate
-tree. Intent labels become function names, slot labels become argument names.
-A slot holding a nested intent becomes a nested call; a slot holding tokens
-becomes a string value of the tokens joined by single spaces (no stop-word
-trimming). Carrier tokens directly under an intent are dropped. Every malformed
-string raises ``TopFormatError`` with the character offset where it was found.
-An ``Example`` carries its parsed call, so each pool call is built once.
+separated utterance tokens. ``top_to_call`` splits a TOP string at its brackets
+with one ``re.split`` and converts it to an API call in one pass, with no tree.
+Intent labels become function names, slot labels become argument names. A slot
+holding a nested intent becomes a nested call; a slot holding tokens becomes a
+string value of the tokens joined by single spaces (no stop-word trimming).
+Carrier tokens directly under an intent are dropped. Every malformed string
+raises ``TopFormatError`` with the character offset where it was found. An
+``Example`` carries its parsed call, so each pool call is built once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .expr import ApiCall, ParseError, calls_in, is_identifier, parse, reading, serialize
+from .expr import _IDENT, ApiCall, ParseError, calls_in, is_identifier, parse, reading, serialize
 
 
 class TopFormatError(ValueError):
@@ -32,51 +32,59 @@ class TopFormatError(ValueError):
         self.offset = offset
 
 
-# A lexeme is an opener with its label, any other "[", a "]", or a token. One
-# findall lists them: match objects cost about half the time of a pass.
-_TOP_LEXEME = re.compile(r"\[(?:IN|SL):[^\s\[\]]*|\[|\]|[^\s\[\]]+")
+# A bracket: an opener with its label, any other "[", or a "]".
+_BRACKETS = re.compile(r"(\[(?:IN|SL):[^\s\[\]]*|\[|\])")
+# An opener whose label is not one whole identifier.
+_BAD_LABEL = re.compile(rf"\[(?:IN|SL):(?!{_IDENT.pattern}(?![^\s\[\]]))")
 
 
-def _lexeme_error(text: str, index: int, message: str, shift: int = 0) -> TopFormatError:
-    """The error ``shift`` characters into lexeme ``index``, found by a re-scan."""
-    return TopFormatError(message, list(_TOP_LEXEME.finditer(text))[index].start() + shift)
+def _error(pieces: list[str], i: int, message: str, shift: int = 0) -> TopFormatError:
+    """The error ``shift`` characters into piece ``i``."""
+    return TopFormatError(message, sum(map(len, pieces[:i])) + shift)
 
 
 def top_to_call(text: str) -> ApiCall:
     """Convert a bracketed TOP string with one intent root to an API call."""
+    pieces = _BRACKETS.split(text)
+    check_labels = _BAD_LABEL.search(text) is not None  # else no label is checked alone
     roots: list[ApiCall] = []
-    # Open spans as (is_intent, label, items): an intent's items are its
-    # (slot, value) pairs, a slot's are its tokens and child calls.
+    # Open spans as (is_intent, label, items): an intent's items are its (slot,
+    # value) pairs, a slot's are its runs of words with a call between each two.
     stack: list[tuple[bool, str, list]] = []
-    for i, lexeme in enumerate(_TOP_LEXEME.findall(text)):
-        if lexeme[0] == "[":
-            if lexeme == "[":
-                raise _lexeme_error(text, i, "bad bracket prefix (expected [IN: or [SL:)")
-            label = lexeme[4:]
-            if not is_identifier(label):
-                raise _lexeme_error(text, i, f"bad label {label!r}", 4)
-            is_intent = lexeme[1] == "I"
-            if is_intent == (bool(stack) and stack[-1][0]):
-                raise _lexeme_error(text, i, "intent nested directly under intent" if is_intent
-                                    else "slot must be nested under an intent")
-            stack.append((is_intent, sys.intern(label), []))
-        elif lexeme == "]":
+    for i in range(1, len(pieces) + 1, 2):  # bracket i after its run of words i - 1
+        run = pieces[i - 1]
+        if not stack and run.strip():
+            raise _error(pieces, i - 1, "token outside brackets", len(run) - len(run.lstrip()))
+        if stack and not stack[-1][0]:
+            stack[-1][2].append(run)  # intents drop their carrier runs
+        if i == len(pieces):
+            break
+        bracket = pieces[i]
+        if bracket == "]":
             if not stack:
-                raise _lexeme_error(text, i, "unbalanced ']'")
+                raise _error(pieces, i, "unbalanced ']'")
             is_intent, label, items = stack.pop()
             if is_intent:
-                (stack[-1][2] if stack else roots).append(ApiCall(label, tuple(items)))
-                continue
-            calls = [item for item in items if isinstance(item, ApiCall)]
-            if len(calls) > 1:
-                raise _lexeme_error(text, i, "slot with multiple intent children")
-            if calls and len(items) > 1:
-                raise _lexeme_error(text, i, f"slot {label!r} mixes intent and token children")
-            stack[-1][2].append((label, calls[0] if calls else " ".join(items)))
-        elif not stack:
-            raise _lexeme_error(text, i, "token outside brackets")
-        elif not stack[-1][0]:
-            stack[-1][2].append(lexeme)  # intents drop their carrier tokens
+                call = tuple.__new__(ApiCall, (label, tuple(items)))
+                (stack[-1][2] if stack else roots).append(call)
+            elif len(items) == 1:
+                stack[-1][2].append((label, " ".join(items[0].split())))
+            elif len(items) > 3 or (items[0] + items[2]).split():
+                raise _error(pieces, i, "slot with multiple intent children" if len(items) > 3
+                             else f"slot {label!r} mixes intent and token children")
+            else:
+                stack[-1][2].append((label, items[1]))
+        elif bracket == "[":
+            raise _error(pieces, i, "bad bracket prefix (expected [IN: or [SL:)")
+        else:
+            label = bracket[4:]
+            if check_labels and not is_identifier(label):
+                raise _error(pieces, i, f"bad label {label!r}", 4)
+            is_intent = bracket[1] == "I"
+            if is_intent == (bool(stack) and stack[-1][0]):
+                raise _error(pieces, i, "intent nested directly under intent" if is_intent
+                             else "slot must be nested under an intent")
+            stack.append((is_intent, sys.intern(label), []))
     if stack:
         raise TopFormatError("unbalanced '['", len(text))
     if len(roots) != 1:
@@ -115,13 +123,6 @@ class ExampleFormatError(ValueError):
     """Malformed example record, or line-delimited JSON record file."""
 
 
-def _example_labels(example: Example) -> set[str]:
-    if example.call is None:
-        raise ExampleFormatError(f"example {example.id!r} has no api_call")
-    calls = calls_in(example.call)
-    return {c.function for c in calls} | {name for c in calls for name, _ in c.args}
-
-
 def spis_sample(examples: list[Example], n: int, seed: int) -> list[Example]:
     """Greedy samples-per-intent-and-slot subset over a seeded permutation.
 
@@ -133,22 +134,27 @@ def spis_sample(examples: list[Example], n: int, seed: int) -> list[Example]:
         raise ValueError("n must be positive")
     if not examples:
         raise ValueError("examples must be non-empty")
-    labels = [_example_labels(e) for e in examples]
+    for e in examples:
+        if e.call is None:
+            raise ExampleFormatError(f"example {e.id!r} has no api_call")
     order = list(range(len(examples)))
     random.Random(seed).shuffle(order)
     counts: dict[str, int] = {}
     kept: set[int] = set()
     for i in order:
-        if any(counts.get(label, 0) < n for label in labels[i]):
+        calls = calls_in(examples[i].call)
+        labels = {c.function for c in calls} | {name for c in calls for name, _ in c.args}
+        if any(counts.get(label, 0) < n for label in labels):
             kept.add(i)
-            for label in labels[i]:
+            for label in labels:
                 counts[label] = counts.get(label, 0) + 1
     return [examples[i] for i in range(len(examples)) if i in kept]
 
 
 def iter_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(lineno, record)`` for each non-blank line of a JSON-object-per-line file."""
-    with reading(path), open(path, encoding="utf-8-sig") as fh:
+    # A line ends at "\n" alone: a lone "\r" is JSON whitespace, and strip() drops a CRLF's.
+    with reading(path), open(path, encoding="utf-8-sig", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

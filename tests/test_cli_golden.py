@@ -181,6 +181,25 @@ def test_a_utf8_bom_is_not_read_as_text(command, name, tmp_path, capsys):
     assert capsys.readouterr().out == without_bom
 
 
+# A line of a JSONL file ends at "\n" alone: a lone "\r" is JSON whitespace.
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda data: data.replace(b"\n", b"\r\n"), id="crlf"),
+    pytest.param(lambda data: data.replace(b'", "', b'",\r"'), id="cr-between-fields"),
+])
+@pytest.mark.parametrize("command, name", [
+    ("eval", "pairs.jsonl"), ("derive-spec", "ex.jsonl"), ("convert-top", "top.jsonl"),
+    ("prompt", "pool.jsonl"),
+])
+def test_a_jsonl_file_reads_as_its_lf_twin(command, name, edit, tmp_path, capsys):
+    argv = _argv(command, tmp_path)
+    assert main(argv) == 0
+    lf = capsys.readouterr().out
+    path = tmp_path / name
+    path.write_bytes(edit(path.read_bytes()))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == lf
+
+
 def _nested(depth):
     """A call nested ``depth`` levels deep."""
     return "F ( A = " * depth + "F ( )" + " )" * depth

@@ -891,6 +891,18 @@ def test_vocab_round_trip(tmp_path):
     assert load_vocab(path) == vocab
 
 
+def test_vocab_reads_a_crlf_file_as_its_lf_twin(tmp_path):
+    rows = ["eos_id\t3", "0\tA", "1\tx\ry", "", "2\t\\r\t", "3\t"]
+    vocabs = []
+    for newline in ("\n", "\r\n"):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(newline.join(rows).encode("utf-8"))
+        vocabs.append(load_vocab(path))
+    assert vocabs[0] == vocabs[1]
+    # A lone "\r" stays in its token's text, as a raw tab does.
+    assert vocabs[0].tokens == ((0, "A"), (1, "x\ry"), (2, "\r\t"), (3, ""))
+
+
 # The character-by-character escape functions the table-driven ones replaced,
 # kept as the oracle.
 _ORACLE_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
@@ -956,6 +968,8 @@ _MALFORMED_VOCABS = {
     "eos_id\t0\n0\tA\n07\tB\n": "{path}:3: bad token id '07'",
     "eos_id\t07\n7\tA\n": "{path}:1: bad eos_id",
     "eos_id\t+7\n7\tA\n": "{path}:1: bad eos_id",
+    # A lone "\r" ends no line.
+    "eos_id\t0\n0\tA\n1\tx\ry\n2\tx\\q\n": "{path}:4: bad escape in token text 'x\\\\q'",
 }
 
 

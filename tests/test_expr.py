@@ -291,7 +291,11 @@ def test_serialize_canonical_fig1():
 
 @given(api_calls)
 def test_round_trip(call):
-    assert parse(serialize(call)) == call
+    parsed = parse(serialize(call))
+    # An ApiCall equals the plain tuple with the same fields, so == alone
+    # would pass a parser that builds plain tuples.
+    assert parsed == call
+    assert all(type(node) is ApiCall for node in calls_in(parsed))
 
 
 @given(api_calls)

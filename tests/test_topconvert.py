@@ -306,7 +306,10 @@ def test_top_to_call_matches_tree_oracle(text):
     elif isinstance(got, ValueError):
         assert (type(got), str(got)) == (type(want), str(want))
     else:
+        # An ApiCall equals the plain tuple with the same fields, so == alone
+        # would pass a converter that builds plain tuples.
         assert got == want
+        assert all(type(node) is ApiCall for node in calls_in(got))
 
 
 def _pool():
@@ -349,6 +352,13 @@ def test_spis_large_n_keeps_rare_examples():
 def test_spis_deterministic():
     pool = _pool()
     assert spis_sample(pool, 1, seed=5) == spis_sample(pool, 1, seed=5)
+
+
+def test_spis_names_the_first_example_without_api_call():
+    pool = _pool() + [Example(f"t{i}", "toy", "u", None, "[IN:F ]") for i in range(4)]
+    for seed in range(8):
+        with pytest.raises(ExampleFormatError, match="^example 't0' has no api_call$"):
+            spis_sample(pool, 1, seed)
 
 
 def test_spis_rejects_bad_n():

@@ -30,7 +30,8 @@ one shared set of them, not a copy; every other token is grouped by its run's
 length and the rest, and one text per group is stepped.
 
 A session's vocabulary half (sorted texts, string tables, the texts spellability
-reads) is a ``VocabIndex``, built in bulk from the ``Vocab`` alone.
+reads) is a ``VocabIndex``, built in bulk from the ``Vocab`` alone: once per
+``Vocab``, on its first session, and shared by every later session over it.
 
 ``iter_steps`` is the one decode loop: ``mock_decode``, ``overhead_report`` and
 the CLI's ``mask`` step through it with their own choosers.
@@ -44,9 +45,9 @@ import re
 import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Set
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -116,25 +117,54 @@ _M_COMMA_OR_CLOSE = Mode.EXPECT_COMMA_OR_CLOSE
 _M_COMPLETE = Mode.COMPLETE
 
 
-@dataclass(frozen=True)
 class Vocab:
-    tokens: tuple[tuple[int, str], ...]
-    eos_id: int
+    """Token ids to texts, one dict in vocab order, and the EOS id. Immutable,
+    and compared, hashed and shown by its (id, text) pairs, ``tokens``, which
+    may also be given as such a dict. ``index``, the vocab's ``VocabIndex``, is
+    built on first use and shared by every session over the vocab."""
 
-    def __post_init__(self):
-        text_by_id = dict(self.tokens)
-        if len(text_by_id) != len(self.tokens):
+    def __init__(self, tokens: tuple[tuple[int, str], ...] | dict[int, str], eos_id: int):
+        text_by_id = dict(tokens)
+        if len(text_by_id) != len(tokens):
             raise ValueError("duplicate token ids in vocab")
-        if self.eos_id not in text_by_id:
-            raise ValueError(f"eos_id {self.eos_id} not among token ids")
-        object.__setattr__(self, "_text_by_id", text_by_id)
+        if eos_id not in text_by_id:
+            raise ValueError(f"eos_id {eos_id} not among token ids")
+        self.__dict__.update(_text_by_id=text_by_id, eos_id=eos_id)
 
     @classmethod
     def from_texts(cls, texts: list[str]) -> "Vocab":
         return cls((*enumerate(texts), (len(texts), "")), len(texts))
 
+    @property
+    def tokens(self) -> tuple[tuple[int, str], ...]:
+        return tuple(self._text_by_id.items())
+
+    @cached_property
+    def index(self) -> "VocabIndex":
+        return VocabIndex(self)
+
     def text_of(self, token_id: int) -> str:
         return self._text_by_id[token_id]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tokens, self.eos_id) == (other.tokens, other.eos_id)
+
+    def __hash__(self):
+        return hash((self.tokens, self.eos_id))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(tokens={self.tokens!r}, eos_id={self.eos_id!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self._text_by_id, self.eos_id)
 
 
 class VocabFormatError(ValueError):
@@ -173,7 +203,8 @@ def load_vocab(path: str | Path) -> Vocab:
     with reading(path), open(path, encoding="utf-8-sig", newline="") as fh:
         text = fh.read()
     lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
-    if not lines or not lines[0].startswith("eos_id\t"):
+    del text
+    if not lines[0].startswith("eos_id\t"):
         raise VocabFormatError(f"{path}: first line must be 'eos_id<TAB>N'")
     # An id is read only in the form save_vocab writes, str(int(s)) == s: int()
     # alone would also take " 7", "+7", "07" and "1_0".
@@ -184,11 +215,13 @@ def load_vocab(path: str | Path) -> Vocab:
         raise VocabFormatError(f"{path}:1: bad eos_id") from e
     if str(eos_id) != eos_str:
         raise VocabFormatError(f"{path}:1: bad eos_id")
-    tokens: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines[1:], 2):
+    text_by_id: dict[int, str] = {}
+    blank = 0
+    for lineno, line in enumerate(islice(lines, 1, None), 2):
         tid_str, tab, text = line.partition("\t")
         if not tab:
             if not line:
+                blank += 1
                 continue
             raise VocabFormatError(f"{path}:{lineno}: expected token_id<TAB>text")
         try:
@@ -199,9 +232,12 @@ def load_vocab(path: str | Path) -> Vocab:
             raise VocabFormatError(f"{path}:{lineno}: bad token id {tid_str!r}")
         if "\\" in text:
             text = _unescape_token(text, f"{path}:{lineno}: ")
-        tokens.append((tid, text))
+        text_by_id[tid] = text
+    if len(text_by_id) != len(lines) - 1 - blank:
+        raise VocabFormatError(f"{path}: duplicate token ids in vocab")
+    del lines
     try:
-        return Vocab(tuple(tokens), eos_id)
+        return Vocab(text_by_id, eos_id)
     except ValueError as e:
         raise VocabFormatError(f"{path}: {e}") from e
 
@@ -233,13 +269,15 @@ class VocabIndex:
     """
 
     def __init__(self, vocab: Vocab):
-        text = itemgetter(1)
-        tokens = sorted(vocab.tokens, key=text)  # stable: equal texts keep vocab order
-        eos_text = vocab.text_of(vocab.eos_id)
-        del tokens[tokens.index((vocab.eos_id, eos_text), bisect_left(tokens, eos_text, key=text))]
-        del tokens[: bisect_right(tokens, "", key=text)]  # the empty texts sort first
-        self.ids = ids = list(map(itemgetter(0), tokens))
-        self.texts = texts = list(map(text, tokens))
+        text_by_id = vocab._text_by_id
+        ids = sorted(text_by_id, key=text_by_id.__getitem__)  # stable: equal texts keep vocab order
+        texts = list(map(text_by_id.__getitem__, ids))
+        eos = ids.index(vocab.eos_id, bisect_left(texts, text_by_id[vocab.eos_id]))
+        del ids[eos], texts[eos]
+        empty = bisect_right(texts, "")  # the empty texts sort first
+        unspendable = [vocab.eos_id, *ids[:empty]]
+        del ids[:empty], texts[:empty]
+        self.ids, self.texts = ids, texts
         self.quoted: dict[tuple[int, str], tuple[str, list[int]]] = {}
         lengths = list(map(len, texts))
         for i in [i for i, t in enumerate(texts) if _QUOTE in t or _BACKSLASH in t]:
@@ -250,7 +288,8 @@ class VocabIndex:
         for tid, n in zip(ids, lengths):
             by_len[n].append(tid)
         by_len[0] = []
-        self.plain = frozenset().union(*by_len)
+        # Every id but the unspendable and quoted ones; a copy of the dict is sized once.
+        self.plain = frozenset(text_by_id).difference(unspendable, *(q for _, q in self.quoted.values()))
         # Each range ends at the character after its last ("9" < ":", "Z" < "[", "_" < "`").
         ranges = [(bisect_left(texts, lo), bisect_left(texts, hi)) for lo, hi in ("0:", "A[", "_`")]
         self.name_texts = set(chain.from_iterable(texts[lo:hi] for lo, hi in ranges))
@@ -317,7 +356,7 @@ class DecodeSession:
         if max_string_len < 0:
             raise ValueError("max_string_len must be >= 0")
         names = sorted(spec.functions | spec.arguments)
-        index = VocabIndex(vocab)
+        index = vocab.index
         unspellable = [name for name in names if not _spellable(name, index.name_texts)]
         if unspellable:
             raise UnspellableNameError(unspellable)
@@ -566,7 +605,9 @@ def overhead_report(spec: ApiSpec, vocab: Vocab, n_steps: int, seed: int = 17) -
     Sessions restart on completion until n_steps total steps are consumed.
     Build time (the name spellability check, the prefix tables, and the
     vocab's index: the sorted trie and the string tables) is reported apart
-    from per-step time.
+    from per-step time. The index is built once per ``Vocab``, on its first
+    session, so it counts here only if ``vocab`` has had no session yet, as
+    with the fresh vocab the CLI's ``overhead`` loads.
     The session takes the default decode limits, ``DEFAULT_MAX_STRING_LEN``
     and ``DEFAULT_MAX_DEPTH``.
     """
@@ -584,7 +625,7 @@ def overhead_report(spec: ApiSpec, vocab: Vocab, n_steps: int, seed: int = 17) -
         pass
     constrained = time.perf_counter() - t0
 
-    all_ids = [tid for tid, _ in vocab.tokens]
+    all_ids = list(vocab._text_by_id)
     rng2 = random.Random(seed)
     t0 = time.perf_counter()
     for _ in range(n_steps):

@@ -33,7 +33,9 @@ class ApiSpec:
         object.__setattr__(self, "associations", assoc)
         not_idents = non_identifiers([*self.functions, *self.arguments])
         if not_idents:
-            raise SpecFormatError(f"names are not identifiers: {', '.join(not_idents)}")
+            # A name that is not printable, "A\nB" say, is quoted, so the error stays one line.
+            shown = (n if n.isprintable() else repr(n) for n in not_idents)
+            raise SpecFormatError(f"names are not identifiers: {', '.join(shown)}")
         for f, args in assoc.items():
             if f not in self.functions:
                 raise SpecFormatError(f"association key {f!r} not in functions")

@@ -346,15 +346,9 @@ def test_overhead_command(toy_files, capsys):
 
 
 def test_decode_commands_at_v32k(tmp_path, capsys):
-    # perfbench's seed-1 decode-32k spec and 32,000-token vocab, the size of a
-    # real LLM vocabulary: decode-sim and mask load it and build their sessions.
-    loader = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(gen)
-    spec = gen.topv2_spec(1)
-    gen.write_spec(tmp_path / "spec.json", spec)
-    gen.write_vocab(tmp_path / "vocab.tsv", gen.large_vocab(1, spec))
-    decode_argv = ["--spec", str(tmp_path / "spec.json"), "--vocab", str(tmp_path / "vocab.tsv")]
+    # decode-sim and mask load perfbench's decode-32k inputs and build their sessions.
+    spec_path, vocab_path = genutil.write_v32k_inputs(tmp_path)
+    decode_argv = ["--spec", str(spec_path), "--vocab", str(vocab_path)]
     assert main(["decode-sim", *decode_argv, "--runs", "3"]) == 0
     assert main(["mask", *decode_argv]) == 0
 

@@ -210,6 +210,8 @@ def _write_error_inputs(tmp):
     (tmp / "lowercase_spec.json").write_text(
         '{"functions": ["get"], "arguments": [], "associations": {}}\n', encoding="utf-8")
     (tmp / "lowercase_preds.txt").write_text("get ( )\n", encoding="utf-8")
+    (tmp / "linebreak_spec.json").write_text(
+        '{"functions": ["A\\nB"], "arguments": [], "associations": {}}\n', encoding="utf-8")
     _jsonl(tmp / "lowercase_pairs.jsonl", [{"gold": "get ( )", "predicted": "get ( )"}])
     (tmp / "bad_spec.json").write_text('{"functions": []', encoding="utf-8")
     vocab = genutil.char_vocab(SPEC)
@@ -289,6 +291,10 @@ ERROR_ROWS = [
     ("eval-name-not-identifier",
      ["eval", "--spec", "{tmp}/lowercase_spec.json", "--pairs", "{tmp}/lowercase_pairs.jsonl"],
      _NOT_IDENT),
+    # A name that is not printable is quoted, so the error stays one line.
+    ("check-name-holds-a-line-break",
+     ["check", "--spec", "{tmp}/linebreak_spec.json", "{tmp}/preds.txt"],
+     "{tmp}/linebreak_spec.json: names are not identifiers: 'A\\nB'"),
     ("missing-pairs", ["eval", *_SPEC, "--pairs", "{tmp}/nope.jsonl"],
      _NO_FILE + "'{tmp}/nope.jsonl'"),
     ("no-pairs", ["eval", *_SPEC, "--pairs", "{tmp}/blank.txt"],

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 import string
@@ -39,7 +41,7 @@ from apicheck.decode import (
     save_vocab,
 )
 from apicheck.expr import _RUN, ApiCall, escape_string, parse, serialize
-from apicheck.spec import ApiSpec, SpecFormatError, derive_from_corpus
+from apicheck.spec import ApiSpec, SpecFormatError, derive_from_corpus, load_spec
 
 import genutil
 from genutil import GET_ALARMS_SPEC
@@ -376,6 +378,8 @@ def test_eos_only_when_complete():
         state = advance(state, by_text[ch])
     assert allowed_tokens(state) == {vocab.eos_id}
     assert advance(state, vocab.eos_id) == state
+    with pytest.raises(DisallowedTokenError, match=f"token {by_text['G']} after completion"):
+        advance(state, by_text["G"])
 
 
 # -- the mask index against the linear scan ----------------------------------
@@ -901,6 +905,97 @@ def test_vocab_reads_a_crlf_file_as_its_lf_twin(tmp_path):
     assert vocabs[0] == vocabs[1]
     # A lone "\r" stays in its token's text, as a raw tab does.
     assert vocabs[0].tokens == ((0, "A"), (1, "x\ry"), (2, "\r\t"), (3, ""))
+
+
+# -- the Vocab contract --------------------------------------------------------
+
+# Out of order, with gaps, and two ids for one text; the EOS is id 0.
+_PAIRS = ((7, "b"), (2, "a"), (9, "b"), (0, ""), (4, '"'))
+
+
+def test_vocab_tokens_are_the_pairs_in_the_given_order():
+    vocab = Vocab(_PAIRS, 0)
+    assert vocab.tokens == _PAIRS
+    assert [vocab.text_of(tid) for tid, _ in _PAIRS] == ["b", "a", "b", "", '"']
+    assert Vocab(dict(_PAIRS), 0).tokens == _PAIRS
+    assert Vocab.from_texts(["b", "a"]).tokens == ((0, "b"), (1, "a"), (2, ""))
+
+
+def test_vocab_equality_hash_and_repr_are_by_its_pairs(tmp_path):
+    vocab = Vocab(_PAIRS, 0)
+    save_vocab(vocab, tmp_path / "vocab.tsv")
+    for twin in (Vocab(_PAIRS, 0), Vocab(dict(_PAIRS), 0), load_vocab(tmp_path / "vocab.tsv")):
+        assert twin == vocab and hash(twin) == hash(vocab)
+    assert hash(vocab) == hash((_PAIRS, 0))
+    assert vocab != Vocab(_PAIRS[::-1], 0)  # the same pairs in another order
+    assert vocab != Vocab(_PAIRS, 2)
+    assert vocab != _PAIRS
+    assert repr(vocab) == f"Vocab(tokens={_PAIRS!r}, eos_id=0)"
+
+
+def test_vocab_is_immutable():
+    vocab = Vocab(_PAIRS, 0)
+    for name in ("tokens", "eos_id", "_text_by_id", "index", "other"):
+        with pytest.raises(AttributeError):
+            setattr(vocab, name, None)
+        with pytest.raises(AttributeError):
+            delattr(vocab, name)
+    assert vocab.tokens == _PAIRS and vocab.eos_id == 0
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_vocab_pickles_and_copies(indexed):
+    vocab = Vocab(_PAIRS, 0)
+    if indexed:
+        assert vocab.index.texts == ['"', "a", "b", "b"]
+    for twin in (pickle.loads(pickle.dumps(vocab)), copy.copy(vocab), copy.deepcopy(vocab)):
+        assert type(twin) is Vocab
+        assert twin == vocab and hash(twin) == hash(vocab) and twin.tokens == _PAIRS
+        assert twin.index.ids == [4, 2, 7, 9]
+
+
+_VOCAB_ERRORS = [
+    (((0, "A"), (1, ""), (0, "B")), 1, "duplicate token ids in vocab"),
+    (((0, "A"),), 9, "eos_id 9 not among token ids"),
+]
+
+
+@pytest.mark.parametrize("pairs, eos_id, message", _VOCAB_ERRORS)
+def test_vocab_errors_from_the_constructor_and_the_loader(pairs, eos_id, message, tmp_path):
+    with pytest.raises(ValueError) as err:
+        Vocab(pairs, eos_id)
+    assert str(err.value) == message
+    path = tmp_path / "vocab.tsv"
+    path.write_text(f"eos_id\t{eos_id}\n" + "".join(f"{i}\t{t}\n" for i, t in pairs))
+    with pytest.raises(VocabFormatError) as err:
+        load_vocab(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_sessions_over_one_vocab_share_its_index():
+    spec = derive_from_corpus([parse('GET_ALARMS ( DATE_TIME = "x" )')])
+    vocab = genutil.char_vocab(spec)
+    assert "index" not in vars(vocab)  # built on first use
+    first = new_session(spec, vocab).session
+    index = vocab.index
+    second = new_session(GET_ALARMS_SPEC, vocab, max_string_len=3, max_depth=1).session
+    assert vocab.index is index
+    for session in (first, second):
+        assert session._texts is index.texts and session._plain is index.plain
+
+
+def test_a_v32k_session_build_stays_small(tmp_path):
+    # The vocab keeps one id-to-text dict, and its index builds its plain-id set
+    # at its final size. Keeping the (id, text) pairs as well retained 8.7 MiB.
+    spec_path, vocab_path = genutil.write_v32k_inputs(tmp_path)
+    tracemalloc.start()
+    try:
+        state = new_session(load_spec(spec_path), load_vocab(vocab_path), 32, 3)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state.session.vocab.tokens) == 32_000
+    assert retained <= 7.0 * 2**20 and peak <= 8.5 * 2**20, (retained / 2**20, peak / 2**20)
 
 
 # The character-by-character escape functions the table-driven ones replaced,

@@ -624,6 +624,13 @@ def test_load_embeddings_rejects_a_duplicate_id(tmp_path):
         load_embeddings(path)
 
 
+def test_load_embeddings_rejects_a_line_without_a_tab(tmp_path):
+    path = tmp_path / "vectors.tsv"
+    path.write_text("a\t1.0,0.0\nb 0.0,1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: expected id<TAB>values$"):
+        load_embeddings(path)
+
+
 @pytest.mark.parametrize("content", ["", "\n\n"])
 def test_load_embeddings_rejects_a_file_with_no_vectors(tmp_path, content):
     # The embedder used to refuse it without naming the file.
@@ -712,6 +719,12 @@ def test_save_embeddings_round_trips_odd_ids_and_values(tmp_path):
     for key, vec in vectors.items():
         assert loaded[key].tolist() == vec
         assert np.signbit(loaded[key]).tolist() == np.signbit(vec).tolist()
+
+
+def test_prompt_refuses_a_demo_without_an_api_call():
+    demos = _pool() + [Example("t1", "toy", "wake me up", None, "[IN:CREATE_ALARM wake me up ]")]
+    with pytest.raises(ValueError, match="^demo 't1' has no api_call$"):
+        build_prompt(DESCRIPTION, demos, "alarms")
 
 
 def test_prompt_zero_demos():

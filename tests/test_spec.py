@@ -44,6 +44,8 @@ def test_equal_specs_hash_equal():
     assert hash(with_key) == hash(without_key)
     assert hash(ApiSpec()) == hash(ApiSpec())
     assert len({with_key, without_key, derive_from_corpus([FIG1])}) == 2
+    assert with_key.__eq__(with_key.functions) is NotImplemented  # no other type is a spec
+    assert with_key != with_key.functions
 
 
 def test_associations_are_read_only():
@@ -84,6 +86,13 @@ def test_rejects_names_that_are_not_identifiers():
     assert str(err.value) == "names are not identifiers: 1A, A-B, TWO WORDS, get"
 
 
+def test_unprintable_names_are_quoted_so_the_error_is_one_line():
+    # A line break or U+2028 inside a name would split the CLI's "error:" line.
+    with pytest.raises(SpecFormatError) as err:
+        ApiSpec(frozenset({"A\nB", "get"}), frozenset({"C\u2028D"}), {})
+    assert str(err.value) == "names are not identifiers: 'A\\nB', 'C\\u2028D', get"
+
+
 def test_save_load_round_trip(tmp_path):
     spec = derive_from_corpus([FIG1])
     path = tmp_path / "spec.json"
@@ -108,6 +117,7 @@ def test_load_empty_spec(tmp_path):
         "[]",
         '{"functions": []}',
         '{"functions": [], "arguments": [], "associations": {"F": ["A"]}}',
+        '{"functions": {}, "arguments": [], "associations": {}}',
         '{"functions": [1], "arguments": [], "associations": {}}',
         '{"functions": ["F"], "arguments": [], "associations": {"F": "A"}}',
         '{"functions": ["get"], "arguments": ["when"], "associations": {"get": ["when"]}}',

@@ -361,6 +361,11 @@ def test_spis_names_the_first_example_without_api_call():
             spis_sample(pool, 1, seed)
 
 
+def test_spis_rejects_an_empty_pool():
+    with pytest.raises(ValueError, match="^examples must be non-empty$"):
+        spis_sample([], 1, seed=0)
+
+
 def test_spis_rejects_bad_n():
     with pytest.raises(ValueError):
         spis_sample(_pool(), 0, seed=0)
@@ -440,6 +445,16 @@ def test_load_examples_parses_each_api_call_once(tmp_path, parse_calls):
     loaded = load_examples(path, require_api_call=True)
     assert parse_calls == [(e.api_call,) for e in pool]
     assert [e.call for e in loaded] == [e.call for e in pool]
+
+
+def test_load_examples_can_require_an_api_call(tmp_path):
+    path = tmp_path / "examples.jsonl"
+    pool = _pool() + [Example("t1", "toy", "alarms", None, SHOW_ALARMS_TOP)]
+    write_examples(pool, path)
+    assert [e.id for e in load_examples(path)] == [e.id for e in pool]
+    line = len(pool)
+    with pytest.raises(ExampleFormatError, match=rf"^{re.escape(str(path))}:{line}: record lacks api_call$"):
+        load_examples(path, require_api_call=True)
 
 
 def test_records_survive_pickle_and_deepcopy():

@@ -30,8 +30,7 @@ one shared set of them, not a copy; every other token is grouped by its run's
 length and the rest, and one text per group is stepped.
 
 A session's vocabulary half (sorted texts, string tables, the texts spellability
-reads) is a ``VocabIndex``, built in bulk from the ``Vocab`` alone: once per
-``Vocab``, on its first session, and shared by every later session over it.
+reads) is a ``VocabIndex``, built in bulk from the ``Vocab`` alone.
 
 ``iter_steps`` is the one decode loop: ``mock_decode``, ``overhead_report`` and
 the CLI's ``mask`` step through it with their own choosers.
@@ -46,8 +45,8 @@ import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Set
 from dataclasses import FrozenInstanceError
-from functools import cached_property
 from itertools import chain, islice, repeat
+from operator import eq
 from pathlib import Path
 from typing import NamedTuple
 
@@ -120,8 +119,8 @@ _M_COMPLETE = Mode.COMPLETE
 class Vocab:
     """Token ids to texts, one dict in vocab order, and the EOS id. Immutable,
     and compared, hashed and shown by its (id, text) pairs, ``tokens``, which
-    may also be given as such a dict. ``index``, the vocab's ``VocabIndex``, is
-    built on first use and shared by every session over the vocab."""
+    may also be given as such a dict. ``tokens``, ``hash`` and ``repr`` build
+    the pairs anew at each call; ``==`` compares the dicts and their key order."""
 
     def __init__(self, tokens: tuple[tuple[int, str], ...] | dict[int, str], eos_id: int):
         text_by_id = dict(tokens)
@@ -139,17 +138,14 @@ class Vocab:
     def tokens(self) -> tuple[tuple[int, str], ...]:
         return tuple(self._text_by_id.items())
 
-    @cached_property
-    def index(self) -> "VocabIndex":
-        return VocabIndex(self)
-
     def text_of(self, token_id: int) -> str:
         return self._text_by_id[token_id]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.tokens, self.eos_id) == (other.tokens, other.eos_id)
+        mine, theirs = self._text_by_id, other._text_by_id
+        return self.eos_id == other.eos_id and mine == theirs and all(map(eq, mine, theirs))
 
     def __hash__(self):
         return hash((self.tokens, self.eos_id))
@@ -162,9 +158,6 @@ class Vocab:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self._text_by_id, self.eos_id)
 
 
 class VocabFormatError(ValueError):
@@ -356,7 +349,7 @@ class DecodeSession:
         if max_string_len < 0:
             raise ValueError("max_string_len must be >= 0")
         names = sorted(spec.functions | spec.arguments)
-        index = vocab.index
+        index = VocabIndex(vocab)
         unspellable = [name for name in names if not _spellable(name, index.name_texts)]
         if unspellable:
             raise UnspellableNameError(unspellable)
@@ -605,9 +598,7 @@ def overhead_report(spec: ApiSpec, vocab: Vocab, n_steps: int, seed: int = 17) -
     Sessions restart on completion until n_steps total steps are consumed.
     Build time (the name spellability check, the prefix tables, and the
     vocab's index: the sorted trie and the string tables) is reported apart
-    from per-step time. The index is built once per ``Vocab``, on its first
-    session, so it counts here only if ``vocab`` has had no session yet, as
-    with the fresh vocab the CLI's ``overhead`` loads.
+    from per-step time.
     The session takes the default decode limits, ``DEFAULT_MAX_STRING_LEN``
     and ``DEFAULT_MAX_DEPTH``.
     """

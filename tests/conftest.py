@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
@@ -51,3 +54,20 @@ def parse_calls(monkeypatch):
 
     monkeypatch.setattr(expr, "_parse", counted)
     return calls
+
+
+@pytest.fixture(scope="session")
+def v32k_inputs(tmp_path_factory):
+    """The paths of perfbench's seed-1 decode-32k spec and 32,000-token vocab,
+    the size of a real LLM vocabulary, written once per test run by
+    ``perfbench/gen.py``."""
+    loader = importlib.util.spec_from_file_location(
+        "gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(gen)
+    spec = gen.topv2_spec(1)
+    directory = tmp_path_factory.mktemp("v32k")
+    paths = directory / "spec.json", directory / "vocab.tsv"
+    gen.write_spec(paths[0], spec)
+    gen.write_vocab(paths[1], gen.large_vocab(1, spec))
+    return paths

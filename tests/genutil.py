@@ -3,11 +3,9 @@ and the small reference helpers that more than one test module uses."""
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import random
 import string
-from pathlib import Path
 
 from apicheck.constraints import parse_and_check
 from apicheck.decode import Vocab
@@ -24,20 +22,6 @@ GET_ALARMS_SPEC = ApiSpec(
     frozenset({"DATE_TIME"}),
     {"GET_ALARMS": frozenset({"DATE_TIME"})},
 )
-
-
-def write_v32k_inputs(directory: Path) -> tuple[Path, Path]:
-    """perfbench's seed-1 decode-32k spec and 32,000-token vocab, the size of a
-    real LLM vocabulary, written to ``directory`` by ``perfbench/gen.py``; their paths."""
-    loader = importlib.util.spec_from_file_location(
-        "gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(gen)
-    spec = gen.topv2_spec(1)
-    paths = directory / "spec.json", directory / "vocab.tsv"
-    gen.write_spec(paths[0], spec)
-    gen.write_vocab(paths[1], gen.large_vocab(1, spec))
-    return paths
 
 
 def f1(tp: int, fp: int, fn: int) -> float:

@@ -345,9 +345,9 @@ def test_overhead_command(toy_files, capsys):
     assert ratio >= 1.0
 
 
-def test_decode_commands_at_v32k(tmp_path, capsys):
+def test_decode_commands_at_v32k(v32k_inputs, capsys):
     # decode-sim and mask load perfbench's decode-32k inputs and build their sessions.
-    spec_path, vocab_path = genutil.write_v32k_inputs(tmp_path)
+    spec_path, vocab_path = v32k_inputs
     decode_argv = ["--spec", str(spec_path), "--vocab", str(vocab_path)]
     assert main(["decode-sim", *decode_argv, "--runs", "3"]) == 0
     assert main(["mask", *decode_argv]) == 0

@@ -22,6 +22,9 @@ character at a time, but plain string content (a ``[^"\\]*`` run, no escape
 pending) in one step, which survives exactly when it fits the room left. The
 mask walks the sorted token texts as an implicit trie: each distinct next
 character of a range is stepped once, and a dead one drops its whole range.
+The trie holds only texts whose characters before the first ``"`` are name
+characters or `` (),=``: outside a string, where the walk starts, no other
+character but ``"`` survives.
 Inside a string, or past ``_WALK_DEPTH`` characters, the walk steps each text
 of a range on its own through ``step_text`` instead, so it never recurses
 through string content. The InString mask is no walk: a plain token is one
@@ -42,11 +45,12 @@ import enum
 import random
 import re
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Callable, Iterator, Set
 from dataclasses import FrozenInstanceError
-from itertools import chain, islice, repeat
-from operator import eq
+from functools import partial
+from itertools import chain, compress, islice, repeat
+from operator import eq, ne
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,6 +68,8 @@ DEFAULT_MAX_STEPS = 4096
 # The trie walk recurses once per character; a range deeper than this, far
 # longer than any real token, is stepped text by text instead.
 _WALK_DEPTH = 256
+# The nonempty texts the walk can step outside a string (see ``VocabIndex``).
+_WALKABLE = re.compile(r'(?!\Z)[A-Z0-9_ (),=]*(?:"|\Z)')
 
 
 class DecodeError(ValueError):
@@ -254,35 +260,39 @@ def _spellable(name: str, texts: set[str]) -> bool:
 class VocabIndex:
     """The tables of a session that depend on the vocab alone.
 
-    ``ids``, ``texts``: the spendable tokens (not the EOS, not empty) in text
-    order, an implicit trie. ``plain_by_len[n]``: the ids of the length-n texts
+    ``ids``, ``texts``: the spendable tokens (not the EOS, not empty) whose
+    characters before the first quote are in ``[A-Z0-9_ (),=]``, in text order,
+    an implicit trie; the walk starts outside a string, where no other character
+    but the quote survives. ``plain_by_len[n]``: the ids of the length-n texts
     with no quote or backslash; ``plain``: all of them. ``quoted``: each other
-    text's (plain-run length, rest) to a text and ids. ``name_texts``: the texts
-    that start with ``[0-9A-Z_]``, as every piece of a name does.
+    text's (plain-run length, rest) to a text and ids. ``name_texts``: the
+    trie's texts that start with ``[0-9A-Z_]``, as every piece of a name does.
     """
 
     def __init__(self, vocab: Vocab):
         text_by_id = vocab._text_by_id
-        ids = sorted(text_by_id, key=text_by_id.__getitem__)  # stable: equal texts keep vocab order
-        texts = list(map(text_by_id.__getitem__, ids))
-        eos = ids.index(vocab.eos_id, bisect_left(texts, text_by_id[vocab.eos_id]))
-        del ids[eos], texts[eos]
-        empty = bisect_right(texts, "")  # the empty texts sort first
-        unspendable = [vocab.eos_id, *ids[:empty]]
-        del ids[:empty], texts[:empty]
-        self.ids, self.texts = ids, texts
+        eos = vocab.eos_id
+        walkable = compress(text_by_id, map(_WALKABLE.match, text_by_id.values()))
+        # Stable, so equal texts keep vocab order; the EOS is not spent.
+        self.ids = ids = sorted(filter(partial(ne, eos), walkable), key=text_by_id.__getitem__)
+        self.texts = texts = list(map(text_by_id.__getitem__, ids))
+        # The string tables hold every spendable id, in vocab order. The EOS, the
+        # empty and the quoted texts go to bucket 0, which is emptied below.
+        tids = list(text_by_id)
+        lengths = list(map(len, text_by_id.values()))
+        lengths[tids.index(eos)] = 0
         self.quoted: dict[tuple[int, str], tuple[str, list[int]]] = {}
-        lengths = list(map(len, texts))
-        for i in [i for i, t in enumerate(texts) if _QUOTE in t or _BACKSLASH in t]:
-            k = _RUN.match(texts[i]).end()
-            self.quoted.setdefault((k, texts[i][k:]), (texts[i], []))[1].append(ids[i])
-            lengths[i] = 0  # into bucket 0, which is emptied below
+        for i in [i for i, t in enumerate(text_by_id.values()) if _QUOTE in t or _BACKSLASH in t]:
+            lengths[i], tid = 0, tids[i]
+            if tid != eos:
+                text = text_by_id[tid]
+                k = _RUN.match(text).end()
+                self.quoted.setdefault((k, text[k:]), (text, []))[1].append(tid)
         self.plain_by_len = by_len = [[] for _ in range(max(lengths, default=0) + 1)]
-        for tid, n in zip(ids, lengths):
+        for tid, n in zip(tids, lengths):
             by_len[n].append(tid)
+        self.plain = frozenset(text_by_id).difference(by_len[0])  # a copy of the dict is sized once
         by_len[0] = []
-        # Every id but the unspendable and quoted ones; a copy of the dict is sized once.
-        self.plain = frozenset(text_by_id).difference(unspendable, *(q for _, q in self.quoted.values()))
         # Each range ends at the character after its last ("9" < ":", "Z" < "[", "_" < "`").
         ranges = [(bisect_left(texts, lo), bisect_left(texts, hi)) for lo, hi in ("0:", "A[", "_`")]
         self.name_texts = set(chain.from_iterable(texts[lo:hi] for lo, hi in ranges))
@@ -597,7 +607,8 @@ def overhead_report(spec: ApiSpec, vocab: Vocab, n_steps: int, seed: int = 17) -
 
     Sessions restart on completion until n_steps total steps are consumed.
     Build time (the name spellability check, the prefix tables, and the
-    vocab's index: the sorted trie and the string tables) is reported apart
+    vocab's index: the sorted trie of the texts the walk can step outside a
+    string, and the string tables) is reported apart
     from per-step time.
     The session takes the default decode limits, ``DEFAULT_MAX_STRING_LEN``
     and ``DEFAULT_MAX_DEPTH``.
